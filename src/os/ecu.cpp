@@ -1,6 +1,7 @@
 #include "os/ecu.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -11,7 +12,19 @@ constexpr Duration kUnevaluated = -1;
 }
 
 Ecu::Ecu(sim::Kernel& kernel, sim::Trace& trace, std::string name)
-    : kernel_(kernel), trace_(trace), name_(std::move(name)) {}
+    : kernel_(kernel),
+      trace_(trace),
+      name_(std::move(name)),
+      cat_{trace.intern_category("task.activate"),
+           trace.intern_category("task.start"),
+           trace.intern_category("task.complete"),
+           trace.intern_category("task.deadline_miss"),
+           trace.intern_category("task.kill"),
+           trace.intern_category("task.activation_queued"),
+           trace.intern_category("task.activation_lost"),
+           trace.intern_category("task.arrival_blocked"),
+           trace.intern_category("partition.exhausted"),
+           trace.intern_category("partition.replenish")} {}
 
 Task& Ecu::add_task(TaskConfig cfg) {
   if (started_) throw std::logic_error("Ecu::add_task after start()");
@@ -19,15 +32,19 @@ Task& Ecu::add_task(TaskConfig cfg) {
     throw std::invalid_argument("Ecu::add_task: unknown partition");
   }
   tasks_.push_back(std::make_unique<Task>(std::move(cfg)));
-  tasks_.back()->ecu_ = this;
-  return *tasks_.back();
+  Task& task = *tasks_.back();
+  task.ecu_ = this;
+  task.trace_id_ = trace_.intern_subject(task.cfg_.name);
+  task.index_ = tasks_.size() - 1;
+  return task;
 }
 
 int Ecu::add_partition(PartitionConfig cfg) {
   if (cfg.budget <= 0 || cfg.period <= 0) {
     throw std::invalid_argument("Ecu::add_partition: budget/period must be >0");
   }
-  partitions_.push_back(Partition{std::move(cfg), 0, false, 0});
+  const sim::TraceId id = trace_.intern_subject(cfg.name);
+  partitions_.push_back(Partition{std::move(cfg), id, 0, false, 0});
   return static_cast<int>(partitions_.size()) - 1;
 }
 
@@ -64,6 +81,16 @@ void Ecu::start() {
       }
     }
   }
+
+  // Dispatch order for the ready set: priority descending, registration
+  // order among equals (the stable sort keeps it).
+  for (const auto& task : tasks_) by_rank_.push_back(task.get());
+  std::stable_sort(by_rank_.begin(), by_rank_.end(),
+                   [](const Task* a, const Task* b) {
+                     return a->cfg_.priority > b->cfg_.priority;
+                   });
+  for (std::size_t r = 0; r < by_rank_.size(); ++r) by_rank_[r]->rank_ = r;
+  ready_bits_.assign((by_rank_.size() + 63) / 64, 0);
 
   // Arm implicit alarms for periodic tasks.
   for (const auto& task : tasks_) {
@@ -135,7 +162,7 @@ void Ecu::activate_internal(Task& task) {
   if (task.cfg_.min_interarrival > 0 && task.last_arrival_ >= 0 &&
       kernel_.now() - task.last_arrival_ < task.cfg_.min_interarrival) {
     ++task.arrivals_blocked_;
-    trace_.emit(kernel_.now(), "task.arrival_blocked", task.cfg_.name);
+    trace_.emit(kernel_.now(), cat_.arrival_blocked, task.trace_id_);
     return;
   }
   task.last_arrival_ = kernel_.now();
@@ -147,10 +174,10 @@ void Ecu::activate_internal(Task& task) {
   }
   if (task.pending_.size() < task.cfg_.max_pending_activations) {
     task.pending_.push_back(kernel_.now());
-    trace_.emit(kernel_.now(), "task.activation_queued", task.cfg_.name);
+    trace_.emit(kernel_.now(), cat_.activation_queued, task.trace_id_);
   } else {
     ++task.activations_lost_;
-    trace_.emit(kernel_.now(), "task.activation_lost", task.cfg_.name);
+    trace_.emit(kernel_.now(), cat_.activation_lost, task.trace_id_);
   }
 }
 
@@ -160,6 +187,7 @@ void Ecu::begin_job(Task& task) {
     throw std::logic_error("task has no body: " + task.cfg_.name);
   }
   task.state_ = Task::State::kReady;
+  set_ready(task, true);
   task.segment_index_ = 0;
   task.segment_started_ = false;
   task.segment_remaining_ = kUnevaluated;
@@ -170,7 +198,7 @@ void Ecu::begin_job(Task& task) {
   task.absolute_deadline_ =
       rel > 0 ? task.activation_time_ + rel : sim::kForever;
   ++task.job_seq_;
-  trace_.emit(kernel_.now(), "task.activate", task.cfg_.name);
+  trace_.emit(kernel_.now(), cat_.activate, task.trace_id_);
   // Miss detection happens AT the deadline, so starved jobs that never
   // complete are counted too. The observer fires after same-instant
   // completions, so finishing exactly on the deadline is not a miss.
@@ -185,22 +213,43 @@ void Ecu::begin_job(Task& task) {
         [t, seq] {
           if (t->state_ != Task::State::kSuspended && t->job_seq_ == seq) {
             ++t->deadline_misses_;
-            t->ecu_->trace_.emit(t->ecu_->kernel_.now(), "task.deadline_miss",
-                                 t->cfg_.name);
+            const Ecu& ecu = *t->ecu_;
+            ecu.trace_.emit(ecu.kernel_.now(), ecu.cat_.deadline_miss,
+                            t->trace_id_);
           }
         },
         sim::EventOrder::kObserver);
   }
 }
 
+bool Ecu::holds_ceiling(const Task& task) {
+  return task.state_ != Task::State::kSuspended && task.segment_started_ &&
+         task.segment_index_ < task.segments_.size() &&
+         task.segments_[task.segment_index_].resource >= 0;
+}
+
+void Ecu::track_ceiling(Task& task) {
+  const auto it = std::find(boosted_.begin(), boosted_.end(), &task);
+  const bool listed = it != boosted_.end();
+  if (holds_ceiling(task) == listed) return;
+  if (listed) {
+    boosted_.erase(it);
+  } else {
+    boosted_.push_back(&task);
+  }
+}
+
+void Ecu::set_ready(const Task& task, bool ready) {
+  const std::uint64_t bit = std::uint64_t{1} << (task.rank_ % 64);
+  std::uint64_t& word = ready_bits_[task.rank_ / 64];
+  word = ready ? word | bit : word & ~bit;
+}
+
 int Ecu::effective_priority(const Task& task) const {
   int prio = task.cfg_.priority;
-  if (task.state_ != Task::State::kSuspended && task.segment_started_ &&
-      task.segment_index_ < task.segments_.size()) {
+  if (holds_ceiling(task)) {
     const int res = task.segments_[task.segment_index_].resource;
-    if (res >= 0) {
-      prio = std::max(prio, resources_[static_cast<std::size_t>(res)].ceiling);
-    }
+    prio = std::max(prio, resources_[static_cast<std::size_t>(res)].ceiling);
   }
   return prio;
 }
@@ -214,15 +263,50 @@ bool Ecu::eligible(const Task& task) const {
   return true;
 }
 
+// The dispatch rule: strictly higher effective priority wins; the incumbent
+// wins ties so equal priorities never preempt each other (OSEK semantics);
+// otherwise the lower registration index wins.
+bool Ecu::wins(const Task& a, const Task& b) const {
+  const int pa = effective_priority(a);
+  const int pb = effective_priority(b);
+  if (pa != pb) return pa > pb;
+  if (&a == running_ || &b == running_) return &a == running_;
+  return a.index_ < b.index_;
+}
+
 Task* Ecu::pick_next() {
+  // The first eligible task in dispatch order has the highest base priority
+  // (lowest index among equals), so it beats every other task running at
+  // its base priority. Only the incumbent (tie rule) and jobs raised to a
+  // resource ceiling can still beat it.
+  Task* best = nullptr;
+  for (std::size_t w = 0; w < ready_bits_.size() && best == nullptr; ++w) {
+    for (std::uint64_t bits = ready_bits_[w]; bits != 0; bits &= bits - 1) {
+      Task* t = by_rank_[w * 64 + static_cast<std::size_t>(
+                                      std::countr_zero(bits))];
+      if (eligible(*t)) {
+        best = t;
+        break;
+      }
+    }
+  }
+  const auto challenge = [this, &best](Task* t) {
+    if (eligible(*t) && (best == nullptr || wins(*t, *best))) best = t;
+  };
+  if (running_ != nullptr) challenge(running_);
+  for (Task* t : boosted_) challenge(t);
+  assert(best == pick_next_linear());
+  return best;
+}
+
+#ifndef NDEBUG
+Task* Ecu::pick_next_linear() const {
   Task* best = nullptr;
   int best_prio = 0;
   for (const auto& up : tasks_) {
     Task* t = up.get();
     if (!eligible(*t)) continue;
     const int prio = effective_priority(*t);
-    // Strictly-higher priority wins; the incumbent wins ties so equal
-    // priorities never preempt each other (OSEK semantics).
     if (best == nullptr || prio > best_prio ||
         (prio == best_prio && t == running_)) {
       best = t;
@@ -231,6 +315,7 @@ Task* Ecu::pick_next() {
   }
   return best;
 }
+#endif
 
 void Ecu::charge(Task& task, Duration elapsed) {
   if (elapsed <= 0) return;
@@ -298,6 +383,7 @@ void Ecu::dispatch() {
     Task& t = *running_;
     if (!t.segment_started_) {
       t.segment_started_ = true;
+      track_ceiling(t);
       auto& seg = t.segments_[t.segment_index_];
       t.segment_remaining_ = seg.duration ? seg.duration() : 0;
       if (t.segment_remaining_ < 0) {
@@ -307,7 +393,7 @@ void Ecu::dispatch() {
         t.segment_remaining_ += ctx_switch_;
         charge_switch = false;
       }
-      trace_.emit(kernel_.now(), "task.start", t.cfg_.name,
+      trace_.emit(kernel_.now(), cat_.start, t.trace_id_,
                   static_cast<std::int64_t>(t.segment_index_));
       if (seg.before) seg.before();
       continue;  // the hook may have changed the ready set; re-evaluate
@@ -335,7 +421,7 @@ void Ecu::on_run_event() {
     if (p.budget_remaining == 0 && !p.exhausted) {
       p.exhausted = true;
       ++p.throttle_count;
-      trace_.emit(kernel_.now(), "partition.exhausted", p.cfg.name);
+      trace_.emit(kernel_.now(), cat_.partition_exhausted, p.trace_id);
       running_->state_ = Task::State::kReady;
       running_ = nullptr;
     }
@@ -350,6 +436,7 @@ void Ecu::run_segment_boundary(Task& task) {
   if (task.segment_index_ < task.segments_.size()) {
     task.segment_started_ = false;
     task.segment_remaining_ = kUnevaluated;
+    track_ceiling(task);
     return;  // dispatch() (in caller) will start the next segment
   }
   complete_job(task);
@@ -360,10 +447,11 @@ void Ecu::complete_job(Task& task) {
   task.response_times_.add(sim::to_ms(now - task.activation_time_));
   ++task.jobs_completed_;
   // Deadline misses are detected by the observer armed in begin_job.
-  trace_.emit(now, "task.complete", task.cfg_.name,
-              now - task.activation_time_);
+  trace_.emit(now, cat_.complete, task.trace_id_, now - task.activation_time_);
   if (task.completion_cb_) task.completion_cb_(task.activation_time_, now);
   task.state_ = Task::State::kSuspended;
+  set_ready(task, false);
+  track_ceiling(task);
   // The job left the system before (or exactly at) its deadline: retire the
   // miss observer instead of letting it fire as a dead event. Cancelling a
   // handle whose event already fired (miss already counted) is a no-op.
@@ -377,8 +465,10 @@ void Ecu::complete_job(Task& task) {
 
 void Ecu::kill_job(Task& task, std::string_view reason) {
   ++task.jobs_killed_;
-  trace_.emit(kernel_.now(), "task.kill", task.cfg_.name, 0, reason);
+  trace_.emit(kernel_.now(), cat_.kill, task.trace_id_, 0, reason);
   task.state_ = Task::State::kSuspended;
+  set_ready(task, false);
+  track_ceiling(task);
   kernel_.cancel(task.deadline_event_);  // stale-safe if it already fired
   if (running_ == &task) running_ = nullptr;
   if (!task.pending_.empty()) {
@@ -392,7 +482,7 @@ void Ecu::replenish_partition(std::size_t index) {
   p.budget_remaining = p.cfg.budget;
   if (p.exhausted) {
     p.exhausted = false;
-    trace_.emit(kernel_.now(), "partition.replenish", p.cfg.name);
+    trace_.emit(kernel_.now(), cat_.partition_replenish, p.trace_id);
   }
   dispatch();
 }

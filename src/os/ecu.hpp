@@ -158,6 +158,9 @@ class Task {
   Ecu* ecu_ = nullptr;  ///< Owning ECU (set at add_task); lets per-job
                         ///< observers capture only {Task*, seq} and stay
                         ///< within std::function's small-buffer size.
+  sim::TraceId trace_id_ = sim::kNoTraceId;  ///< Interned name (add_task).
+  std::size_t index_ = 0;  ///< Registration order on the owning ECU.
+  std::size_t rank_ = 0;   ///< Position in the ECU's dispatch order (start).
   std::vector<Segment> segments_;
   std::function<void(Time, Time)> completion_cb_;
 
@@ -234,9 +237,16 @@ class Ecu {
  private:
   struct Partition {
     PartitionConfig cfg;
+    sim::TraceId trace_id = sim::kNoTraceId;
     Duration budget_remaining = 0;
     bool exhausted = false;
     std::uint64_t throttle_count = 0;
+  };
+  /// The ECU's trace categories, interned once at construction.
+  struct Categories {
+    sim::TraceId activate, start, complete, deadline_miss, kill,
+        activation_queued, activation_lost, arrival_blocked,
+        partition_exhausted, partition_replenish;
   };
   struct Resource {
     std::string name;
@@ -246,6 +256,7 @@ class Ecu {
   sim::Kernel& kernel_;
   sim::Trace& trace_;
   std::string name_;
+  Categories cat_;
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<Partition> partitions_;
   std::vector<Resource> resources_;
@@ -263,6 +274,15 @@ class Ecu {
   Duration busy_time_ = 0;
   std::uint64_t context_switches_ = 0;
 
+  // --- Ready set (see pick_next) ---------------------------------------------
+  /// Tasks in dispatch order: priority descending, then registration order.
+  std::vector<Task*> by_rank_;
+  /// Bit r is set while by_rank_[r] has a job (is not suspended).
+  std::vector<std::uint64_t> ready_bits_;
+  /// Jobs inside a ceiling-resource segment: the only tasks whose effective
+  /// priority can exceed their base priority.
+  std::vector<Task*> boosted_;
+
   void activate_internal(Task& task);
   void begin_job(Task& task);
   void dispatch();
@@ -273,9 +293,16 @@ class Ecu {
   void run_segment_boundary(Task& task);  // completion of a run-chunk
   void complete_job(Task& task);
   void kill_job(Task& task, std::string_view reason);
+  static bool holds_ceiling(const Task& task);
+  void track_ceiling(Task& task);
+  void set_ready(const Task& task, bool ready);
   int effective_priority(const Task& task) const;
   bool eligible(const Task& task) const;
+  bool wins(const Task& a, const Task& b) const;
   Task* pick_next();
+#ifndef NDEBUG
+  Task* pick_next_linear() const;  ///< Reference rule: full scan.
+#endif
   void replenish_partition(std::size_t index);
 };
 

@@ -2,13 +2,15 @@
 // subscribe to the live stream; records are also retained for post-run
 // queries when retention is on.
 //
-// Category and subject strings are interned into dense integer TraceIds at
-// first sight, so the hot path is allocation-free and O(1): emit() resolves
-// both IDs with one transparent hash lookup each (no std::string
-// construction), bumps a flat per-category vector and a single
-// (category, subject)-keyed hash cell, and only builds a TraceRecord when
-// somebody observes the stream (listeners or retention). Records carry the
-// IDs alongside the strings so downstream consumers (rv::MonitorRegistry,
+// Category and subject strings are interned into dense integer TraceIds, so
+// the hot path is allocation-free and O(1). Emitters that fire per job
+// (os::Ecu, vfb::Rte) intern their names once at construction and call the
+// ID overload of emit(), which hashes nothing: it bumps a per-category
+// counter and one cell of that category's count row (indexed by subject
+// ID), and only builds a TraceRecord when somebody observes the stream
+// (listeners or retention). The string overload interns both names with one
+// transparent hash lookup each and forwards to it. Records carry the IDs
+// alongside the strings so downstream consumers (rv::MonitorRegistry,
 // isolation::ContainmentMonitor) route and compare integers, never strings.
 // IDs are stable for the lifetime of the Trace — clear() resets counts and
 // records but keeps the intern tables.
@@ -68,15 +70,22 @@ class Trace {
 
   void emit(Time when, std::string_view category, std::string_view subject,
             std::int64_t value = 0, std::string_view detail = {}) {
-    const TraceId cat = categories_.intern(category);
-    const TraceId subj = subjects_.intern(subject);
-    bump(cat, subj);
+    emit(when, categories_.intern(category), subjects_.intern(subject), value,
+         detail);
+  }
+
+  /// Emit under pre-interned IDs (intern_category / intern_subject of this
+  /// Trace): the per-job form, with no name hashing at all.
+  void emit(Time when, TraceId category, TraceId subject,
+            std::int64_t value = 0, std::string_view detail = {}) {
+    assert(category < categories_.size() && subject < subjects_.size());
+    bump(category, subject);
     // ID listeners run first, before any record is materialized: when every
     // observer routes on TraceIds (the rv-bound configuration) and retention
-    // is off, an emit costs two intern lookups, the count bumps, and this
-    // loop — no string is assigned or copied anywhere.
+    // is off, an emit costs the count bumps and this loop — no string is
+    // assigned or copied anywhere.
     if (!id_listeners_.empty()) {
-      const TraceEvent ev{when, cat, subj, value, detail};
+      const TraceEvent ev{when, category, subject, value, detail};
       for (const auto& l : id_listeners_) l(ev);
     }
     if (!retain_) {
@@ -86,18 +95,22 @@ class Trace {
       // string assignments reuse capacity, so a warmed-up monitored run
       // emits with zero allocations.
       scratch_.when = when;
-      scratch_.category.assign(category);
-      scratch_.subject.assign(subject);
+      scratch_.category.assign(categories_.name(category));
+      scratch_.subject.assign(subjects_.name(subject));
       scratch_.value = value;
       scratch_.detail.assign(detail);
-      scratch_.category_id = cat;
-      scratch_.subject_id = subj;
+      scratch_.category_id = category;
+      scratch_.subject_id = subject;
       for (const auto& l : listeners_) l(scratch_);
       return;
     }
-    TraceRecord rec{when,  std::string(category), std::string(subject),
-                    value, std::string(detail),   cat,
-                    subj};
+    TraceRecord rec{when,
+                    std::string(categories_.name(category)),
+                    std::string(subjects_.name(subject)),
+                    value,
+                    std::string(detail),
+                    category,
+                    subject};
     for (const auto& l : listeners_) l(rec);
     records_.push_back(std::move(rec));
   }
@@ -163,17 +176,16 @@ class Trace {
   }
 
   [[nodiscard]] std::size_t count(TraceId category, TraceId subject) const {
-    if (category == kNoTraceId || subject == kNoTraceId) return 0;
-    auto it = pair_counts_.find(pair_key(category, subject));
-    return it == pair_counts_.end() ? 0 : it->second;
+    if (category >= subject_counts_.size()) return 0;
+    const auto& row = subject_counts_[category];
+    return subject < row.size() ? row[subject] : 0;
   }
 
   /// Every (subject, count) pair recorded under `category`, in subject
   /// order. Incremental consumers (isolation::ContainmentMonitor, rv
   /// monitors) classify from this index instead of re-scanning records.
   /// O(subjects-in-category): each category keeps its own bucket of seen
-  /// subject IDs, so the query never walks the whole (category, subject)
-  /// map.
+  /// subject IDs, so the query never walks a whole count row.
   [[nodiscard]] std::vector<std::pair<std::string, std::size_t>>
   subject_counts(std::string_view category) const {
     std::vector<std::pair<std::string, std::size_t>> out;
@@ -182,7 +194,7 @@ class Trace {
     out.reserve(category_subjects_[cat].size());
     for (const TraceId subj : category_subjects_[cat]) {
       out.emplace_back(std::string(subjects_.name(subj)),
-                       pair_counts_.at(pair_key(cat, subj)));
+                       subject_counts_[cat][subj]);
     }
     std::sort(out.begin(), out.end());
     return out;
@@ -199,7 +211,7 @@ class Trace {
     }
     out.reserve(category_subjects_[category].size());
     for (const TraceId subj : category_subjects_[category]) {
-      out.emplace_back(subj, pair_counts_.at(pair_key(category, subj)));
+      out.emplace_back(subj, subject_counts_[category][subj]);
     }
     return out;
   }
@@ -215,7 +227,7 @@ class Trace {
     assert(!records_complete_ || counts_match_records());
     records_.clear();
     category_counts_.assign(category_counts_.size(), 0);
-    pair_counts_.clear();
+    for (auto& row : subject_counts_) row.assign(row.size(), 0);
     for (auto& bucket : category_subjects_) bucket.clear();
     records_complete_ = true;
   }
@@ -227,8 +239,8 @@ class Trace {
   /// records_complete() first. Used by the debug assertion in clear() and
   /// by the index-drift regression tests.
   [[nodiscard]] bool counts_match_records() const {
-    std::unordered_map<std::uint64_t, std::size_t> pair_recount;
     std::vector<std::size_t> cat_recount(category_counts_.size(), 0);
+    std::vector<std::vector<std::size_t>> row_recount(subject_counts_.size());
     for (const auto& rec : records_) {
       const TraceId cat = categories_.find(rec.category);
       const TraceId subj = subjects_.find(rec.subject);
@@ -236,23 +248,30 @@ class Trace {
       if (cat != rec.category_id || subj != rec.subject_id) return false;
       if (cat >= cat_recount.size()) return false;
       ++cat_recount[cat];
-      ++pair_recount[pair_key(cat, subj)];
+      auto& row = row_recount[cat];
+      if (subj >= row.size()) row.resize(subj + 1, 0);
+      ++row[subj];
     }
-    if (cat_recount != category_counts_ || pair_recount != pair_counts_) {
-      return false;
-    }
-    // The per-category subject buckets must mirror the pair index exactly:
-    // every bucketed subject has a pair cell, and nothing is missing.
-    std::size_t bucket_entries = 0;
-    for (TraceId cat = 0; cat < category_subjects_.size(); ++cat) {
-      for (const TraceId subj : category_subjects_[cat]) {
-        ++bucket_entries;
-        if (pair_counts_.find(pair_key(cat, subj)) == pair_counts_.end()) {
-          return false;
-        }
+    if (cat_recount != category_counts_) return false;
+    // Every count row must agree with the recount cell by cell, and each
+    // category's subject bucket must list exactly its non-zero cells, once.
+    for (TraceId cat = 0; cat < subject_counts_.size(); ++cat) {
+      const auto& row = subject_counts_[cat];
+      const auto& recount = row_recount[cat];
+      std::size_t nonzero = 0;
+      for (std::size_t subj = 0; subj < std::max(row.size(), recount.size());
+           ++subj) {
+        const std::size_t n = subj < row.size() ? row[subj] : 0;
+        if (n != (subj < recount.size() ? recount[subj] : 0)) return false;
+        nonzero += n != 0 ? 1 : 0;
+      }
+      const auto& bucket = category_subjects_[cat];
+      if (bucket.size() != nonzero) return false;
+      for (const TraceId subj : bucket) {
+        if (count(cat, subj) == 0) return false;
       }
     }
-    return bucket_entries == pair_counts_.size();
+    return true;
   }
 
   /// True while the retained records cover every emission since
@@ -280,6 +299,7 @@ class Trace {
     [[nodiscard]] std::string_view name(TraceId id) const {
       return id < names_.size() ? names_[id] : std::string_view{};
     }
+    [[nodiscard]] std::size_t size() const { return names_.size(); }
 
    private:
     struct Hash {
@@ -292,23 +312,20 @@ class Trace {
     std::vector<std::string_view> names_;  ///< Views into ids_ keys.
   };
 
-  static constexpr std::uint64_t pair_key(TraceId category, TraceId subject) {
-    return (static_cast<std::uint64_t>(category) << 32) | subject;
-  }
-
-  // Single-lookup bump per index (operator[] value-initializes on miss) —
-  // no find-then-emplace double walk, no key strings. A pair's first bump
-  // also files the subject into the category's subject bucket, keeping the
-  // subject_counts() queries O(subjects-in-category).
+  // One growth check per index, then direct indexing — no hashing. A
+  // subject's first bump in a category also files it into the category's
+  // subject bucket, keeping the subject_counts() queries
+  // O(subjects-in-category).
   void bump(TraceId category, TraceId subject) {
     if (category >= category_counts_.size()) {
       category_counts_.resize(category + 1, 0);
+      subject_counts_.resize(category + 1);
       category_subjects_.resize(category + 1);
     }
     ++category_counts_[category];
-    auto& n = pair_counts_[pair_key(category, subject)];
-    if (n == 0) category_subjects_[category].push_back(subject);
-    ++n;
+    auto& row = subject_counts_[category];
+    if (subject >= row.size()) row.resize(subject + 1, 0);
+    if (row[subject]++ == 0) category_subjects_[category].push_back(subject);
   }
 
   std::vector<Listener> listeners_;
@@ -318,10 +335,12 @@ class Trace {
   Interner categories_;
   Interner subjects_;
   std::vector<std::size_t> category_counts_;  ///< Indexed by category ID.
+  /// Per-category count rows indexed by subject ID; a row grows to the
+  /// largest subject ID seen in its category.
+  std::vector<std::vector<std::size_t>> subject_counts_;
   /// Subject IDs seen per category (first-bump order) — the iteration set
-  /// of subject_counts(); pair_counts_ keeps the numbers.
+  /// of subject_counts(); subject_counts_ keeps the numbers.
   std::vector<std::vector<TraceId>> category_subjects_;
-  std::unordered_map<std::uint64_t, std::size_t> pair_counts_;
   bool retain_ = true;
   bool records_complete_ = true;
 };

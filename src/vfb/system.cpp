@@ -329,17 +329,10 @@ void System::build() {
         sig.bit_length = sspec->bit_length;
         receiver.com->add_signal(sig);
         for (const auto& key : keys) {
-          receiver.rte->add_remote_receiver(key, sspec->queued, sspec->init,
-                                            sspec->queue_length,
-                                            sspec->overflow);
+          receiver.rte->add_remote_receiver(
+              key, *receiver.com, sspec->name, sspec->queued, sspec->init,
+              sspec->queue_length, sspec->overflow);
         }
-        Rte* rte = receiver.rte.get();
-        receiver.com->on_signal(sspec->name,
-                                [rte, keys = keys](std::uint64_t value) {
-                                  for (const auto& key : keys) {
-                                    rte->deliver(key, value);
-                                  }
-                                });
       }
     }
   }
@@ -371,18 +364,6 @@ void System::build() {
   }
   if (plan_.runtime_verification) build_monitors();
   if (plan_.alive_supervision) build_alive_supervision();
-
-  // Warm the trace's intern tables with the categories and subjects the
-  // generated system emits hottest, so every ID (and its slot in the count
-  // indexes) exists before the first simulated event. Monitor attachment
-  // already interned everything the rv layer routes on; this covers the
-  // emit side, keeping the measured run free of first-sight intern misses.
-  for (const char* category :
-       {"rte.write", "rte.deliver", "rte.runnable", "task.release",
-        "task.start", "task.complete", "task.deadline_miss"}) {
-    trace_.intern_category(category);
-  }
-  for (const auto& t : analyzed_tasks_) trace_.intern_subject(t.name);
 }
 
 std::vector<std::string> System::resolve_flow(const std::string& instance,
@@ -796,25 +777,25 @@ void System::build_tasks() {
                              ecu_name + " escaped validation");
     }
 
-    auto make_segment = [this, &c](const std::string& instance,
-                                   const Runnable* r) {
+    // Every runnable is bound to its RTE here, after all routes are wired:
+    // its segments hold the binding, so no job resolves an access again.
+    Rte* rte = c.rte.get();
+    auto make_segment = [this, rte](const std::string& instance,
+                                    const Runnable* runnable,
+                                    Rte::Binding* binding) {
       // Inline the WCET of declared synchronous server calls (the RTE
       // executes them in the caller's context).
-      const sim::Duration inlined = inlined_wcet(instance, *r);
+      const sim::Duration inlined = inlined_wcet(instance, *runnable);
       os::Segment seg;
-      Rte* rte = c.rte.get();
-      const Runnable* runnable = r;
       seg.duration = [runnable, inlined]() -> sim::Duration {
         if (runnable->enabled_if && !runnable->enabled_if()) return 0;
         return (runnable->execution_time ? runnable->execution_time() : 0) +
                inlined;
       };
-      seg.before = [rte, instance, runnable] {
-        rte->capture_implicit(instance, *runnable);
-      };
-      seg.after = [rte, instance, runnable] {
+      seg.before = [rte, binding] { rte->capture_implicit(*binding); };
+      seg.after = [rte, runnable, binding] {
         if (runnable->enabled_if && !runnable->enabled_if()) return;
-        rte->run_behavior(instance, *runnable);
+        rte->run_behavior(*binding);
       };
       return seg;
     };
@@ -872,21 +853,17 @@ void System::build_tasks() {
       // AUTOSAR implicit semantics are task-scoped: ALL implicit inputs of
       // the task's runnables are snapshotted once when the task starts, so
       // multi-element / multi-runnable reads within one job are consistent.
-      bool first_segment = true;
+      std::vector<Rte::Binding*> bindings;
       for (const Runnable* r : g.runnables) {
-        os::Segment seg = make_segment(g.instance, r);
-        if (first_segment) {
-          Rte* rte = c.rte.get();
-          const std::string instance = g.instance;
-          const std::vector<const Runnable*> group = g.runnables;
-          seg.before = [rte, instance, group] {
-            for (const Runnable* rr : group) {
-              rte->capture_implicit(instance, *rr);
-            }
+        bindings.push_back(&rte->bind(g.instance, *r));
+      }
+      for (std::size_t i = 0; i < g.runnables.size(); ++i) {
+        os::Segment seg = make_segment(g.instance, g.runnables[i], bindings[i]);
+        seg.before = {};
+        if (i == 0) {
+          seg.before = [rte, bindings] {
+            for (Rte::Binding* b : bindings) rte->capture_implicit(*b);
           };
-          first_segment = false;
-        } else {
-          seg.before = {};
         }
         task.add_segment(std::move(seg));
       }
@@ -895,14 +872,12 @@ void System::build_tasks() {
     for (const auto& e : events) {
       if (e.runnable->trigger.kind == RunnableTrigger::Kind::kInit) {
         // Init runnables execute once at t=start, outside any task.
-        Rte* rte = c.rte.get();
-        const std::string instance = e.instance;
-        const Runnable* r = e.runnable;
+        Rte::Binding* binding = &rte->bind(e.instance, *e.runnable);
         kernel_.schedule_at(
             kernel_.now(),
-            [rte, instance, r] {
-              rte->capture_implicit(instance, *r);
-              rte->run_behavior(instance, *r);
+            [rte, binding] {
+              rte->capture_implicit(*binding);
+              rte->run_behavior(*binding);
             },
             sim::EventOrder::kSoftware);
         continue;
@@ -925,7 +900,8 @@ void System::build_tasks() {
              cfg.priority});
       }
       os::Task& task = c.ecu->add_task(cfg);
-      task.add_segment(make_segment(e.instance, e.runnable));
+      task.add_segment(make_segment(e.instance, e.runnable,
+                                    &rte->bind(e.instance, *e.runnable)));
       os::Ecu* ecu = c.ecu.get();
       os::Task* task_ptr = &task;
       c.rte->on_update(

@@ -2,6 +2,7 @@
 // ceilings, schedule tables, execution budgets and partitions.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "os/ecu.hpp"
@@ -65,6 +66,29 @@ TEST(Ecu, EqualPriorityDoesNotPreempt) {
   // b must wait for a to finish: response = 5 + 5 - 1 = 9ms.
   EXPECT_DOUBLE_EQ(a.response_times().max(), 5.0);
   EXPECT_DOUBLE_EQ(b.response_times().max(), 9.0);
+}
+
+TEST(Ecu, EqualPriorityReadyTasksRunInRegistrationOrder) {
+  // The tie rule among waiting jobs is registration order, not OSEK's FIFO
+  // activation order: two equal-priority tasks made ready while a
+  // higher-priority task runs start in the order they were added.
+  Fixture f;
+  Task& first = f.ecu.add_task({.name = "first", .priority = 1});
+  first.set_body(milliseconds(1));
+  Task& second = f.ecu.add_task({.name = "second", .priority = 1});
+  second.set_body(milliseconds(1));
+  Task& hi = f.ecu.add_task({.name = "hi", .priority = 2,
+                             .period = milliseconds(100)});
+  hi.set_body(milliseconds(5));
+  f.ecu.start();
+  f.kernel.schedule_at(milliseconds(1), [&] { f.ecu.activate(second); });
+  f.kernel.schedule_at(milliseconds(2), [&] { f.ecu.activate(first); });
+  f.kernel.run_until(milliseconds(10));
+  std::vector<std::string> starts;
+  for (const auto& rec : f.trace.records()) {
+    if (rec.category == "task.start") starts.push_back(rec.subject);
+  }
+  EXPECT_EQ(starts, (std::vector<std::string>{"hi", "first", "second"}));
 }
 
 TEST(Ecu, ResponseTimeMatchesClassicExample) {

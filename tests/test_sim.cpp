@@ -761,6 +761,34 @@ TEST(Trace, IdListenersGetInternedIdsValueAndDetail) {
   EXPECT_EQ(detail, "d");
 }
 
+TEST(Trace, IdEmitMatchesStringEmit) {
+  // Emitting under pre-interned IDs must be indistinguishable from the
+  // string overload: same record strings and IDs, same counts.
+  Trace by_id;
+  Trace by_name;
+  const TraceId cat = by_id.intern_category("cat");
+  const TraceId subj = by_id.intern_subject("s");
+  by_id.emit(3, cat, subj, 9, "d");
+  by_id.emit(4, cat, subj);
+  by_name.emit(3, "cat", "s", 9, "d");
+  by_name.emit(4, "cat", "s");
+  ASSERT_EQ(by_id.records().size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& a = by_id.records()[i];
+    const auto& b = by_name.records()[i];
+    EXPECT_EQ(a.when, b.when);
+    EXPECT_EQ(a.category, b.category);
+    EXPECT_EQ(a.subject, b.subject);
+    EXPECT_EQ(a.value, b.value);
+    EXPECT_EQ(a.detail, b.detail);
+    EXPECT_EQ(a.category_id, cat);
+    EXPECT_EQ(a.subject_id, subj);
+  }
+  EXPECT_EQ(by_id.count("cat", "s"), 2u);
+  EXPECT_EQ(by_id.count(cat, subj), 2u);
+  EXPECT_TRUE(by_id.counts_match_records());
+}
+
 TEST(Trace, IdListenersWorkWithoutRetentionOrStringListeners) {
   // The rv configuration: retention off, no TraceRecord listeners — emits
   // must reach ID listeners without materializing any std::string.
