@@ -6,6 +6,11 @@
 // COM/bus, rv, fi hooks) that changes one record, its order, or the record
 // count fails here. A deliberate behaviour change must regenerate the pins
 // and say why.
+//
+// GoldenDiagnostics pins the static side the same way: the rendered
+// validator report, its SARIF export, System::analyze() and the fault-
+// detectability planes and verdicts of representative models, each folded
+// into an FNV-1a digest of its text.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +28,9 @@
 #include "sim/kernel.hpp"
 #include "sim/rng.hpp"
 #include "sim/trace.hpp"
+#include "validation/detectability.hpp"
+#include "validation/sarif.hpp"
+#include "validation/validator.hpp"
 #include "vfb/system.hpp"
 
 namespace {
@@ -60,6 +68,16 @@ Digest digest_of(const sim::Trace& trace) {
     str(rec.detail);
   }
   return {h, trace.records().size()};
+}
+
+/// FNV-1a over the bytes of one rendered output.
+std::uint64_t digest_of(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 /// Digest printed in hex, so a failing pin is easy to regenerate.
@@ -318,6 +336,355 @@ TEST(GoldenDigest, BareEcuPartitionCeilingEqualPriorities) {
   EXPECT_GT(ecu.partition_throttles(part), 0u);
   EXPECT_GT(lo.deadline_misses(), 0u);
   expect_digest(digest_of(trace), 0x9050358352e7638full, 775);
+}
+
+// --- Static outputs: validator, SARIF, System::analyze(), detectability ----
+
+/// The four pinned static outputs of one (model, plan).
+struct StaticDigests {
+  std::uint64_t report = 0;
+  std::uint64_t sarif = 0;
+  std::uint64_t analysis = 0;
+  std::uint64_t detectability = 0;
+};
+
+std::string render_analysis(const vfb::SystemAnalysis& a) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", a.bus_utilization);
+  std::string out = "schedulable=" + std::to_string(a.schedulable) +
+                    " complete=" + std::to_string(a.complete) +
+                    " bus_utilization=" + buf + "\n";
+  for (const auto& [name, r] : a.task_response) {
+    out += "task " + name + " " + std::to_string(r) + "\n";
+  }
+  for (const auto& [name, r] : a.pdu_response) {
+    out += "pdu " + name + " " + std::to_string(r) + "\n";
+  }
+  for (const auto& cb : a.chain_bounds) {
+    out += "chain " + cb.contract + " " + cb.instance + " " + cb.flow + " [" +
+           cb.sink_task + "] " + std::to_string(cb.deadline) + " " +
+           std::to_string(cb.bound) + " " + std::to_string(cb.computable) +
+           "\n";
+  }
+  return out;
+}
+
+std::string render_plane(const validation::MonitorPlane& p) {
+  return std::string(validation::to_string(p.kind)) + " | " + p.observable +
+         " | " + p.blame;
+}
+
+std::string render_detectability(const validation::DetectabilityAnalysis& d) {
+  std::string out;
+  for (const auto& p : d.monitors) out += "plane " + render_plane(p) + "\n";
+  for (const auto& v : d.verdicts) {
+    out += "verdict " + v.label + " perturbs=" + std::to_string(v.perturbs) +
+           " detectable=" + std::to_string(v.detectable) +
+           " gap=" + std::to_string(v.containment_gap) +
+           " contained=" + std::to_string(v.contained) + "\n";
+    for (const auto& o : v.observers) out += "  sees " + render_plane(o) + "\n";
+  }
+  return out;
+}
+
+StaticDigests static_digests(const vfb::Composition& model,
+                             const vfb::DeploymentPlan& plan) {
+  StaticDigests d;
+  const validation::Diagnostics report = validation::validate(model, plan);
+  d.report = digest_of(report.render());
+  d.sarif = digest_of(validation::to_sarif(report));
+  sim::Kernel kernel;
+  sim::Trace trace;
+  const vfb::System sys(kernel, trace, model, plan);
+  d.analysis = digest_of(render_analysis(sys.analyze()));
+  d.detectability = digest_of(render_detectability(
+      validation::analyze_detectability(model, plan, model.bound_contracts(),
+                                        fi::workloads::standard_faults())));
+  return d;
+}
+
+void expect_static(const StaticDigests& got, std::uint64_t report,
+                   std::uint64_t sarif, std::uint64_t analysis,
+                   std::uint64_t detectability) {
+  EXPECT_EQ(hex(got.report), hex(report));
+  EXPECT_EQ(hex(got.sarif), hex(sarif));
+  EXPECT_EQ(hex(got.analysis), hex(analysis));
+  EXPECT_EQ(hex(got.detectability), hex(detectability));
+}
+
+TEST(GoldenDiagnostics, Pipelines64) {
+  vfb::DeploymentPlan plan;
+  for (int i = 0; i < 64; ++i) {
+    plan.instances["sensor" + std::to_string(i)] = {.ecu = "ecu0"};
+    plan.instances["filter" + std::to_string(i)] = {.ecu = "ecu0"};
+  }
+  expect_static(static_digests(pipeline_model(64, false), plan),
+                0x0bac8b1409cbde30ull, 0x3e4749f794f89fd8ull,
+                0xf996cd135f57fbfaull, 0x65b46afb15239b3eull);
+}
+
+TEST(GoldenDiagnostics, BrakeByWire) {
+  const fi::ModelBundle bundle = fi::workloads::brake_by_wire(false);
+  expect_static(static_digests(bundle.model, bundle.plan),
+                0x83c3fb0737bb086cull, 0xffdea092ea8a75aeull,
+                0xa0354aff0010ea2aull, 0x779ca90624495ed8ull);
+}
+
+TEST(GoldenDiagnostics, BrakeByWireAliveSupervision) {
+  const fi::ModelBundle bundle = fi::workloads::brake_by_wire(true);
+  expect_static(static_digests(bundle.model, bundle.plan),
+                0x45db2a2c9809f5a6ull, 0x699b40b32cd60830ull,
+                0xa0354aff0010ea2aull, 0xe37d0a4d55f177a2ull);
+}
+
+/// Three-ECU chain: two sensors on ecu_a (one explicit 16-bit flow at 5 ms,
+/// one implicit two-element flow at 10 ms) feed an event-triggered filter on
+/// ecu_b, whose output activates an actuator on ecu_c; a monitor on ecu_b
+/// taps the fast sensor and also polls it every 20 ms. Contracts cover every
+/// monitor kind: periods, value ranges on both sides, latencies and a
+/// request/response automaton on the filter.
+vfb::Composition chain_model() {
+  using vfb::DataAccessKind;
+  using vfb::Port;
+  using vfb::PortDirection;
+  using vfb::Runnable;
+  using vfb::RunnableTrigger;
+  vfb::Composition model;
+  vfb::PortInterface ival;
+  ival.name = "IVal";
+  ival.elements.push_back(vfb::DataElement{"v", 16, 0, false});
+  model.add_interface(ival);
+  vfb::PortInterface ipair;
+  ipair.name = "IPair";
+  ipair.elements.push_back(vfb::DataElement{"a", 8, 0, false});
+  ipair.elements.push_back(vfb::DataElement{"b", 8, 0, false});
+  model.add_interface(ipair);
+
+  Runnable sample;
+  sample.name = "sample";
+  sample.trigger = RunnableTrigger::timing(milliseconds(5));
+  sample.wcet_bound = microseconds(200);
+  sample.accesses.push_back({"out", "v", DataAccessKind::kExplicitWrite});
+  model.add_type(
+      {"Sensor", {Port{"out", "IVal", PortDirection::kProvided}}, {sample}});
+
+  Runnable tick;
+  tick.name = "tick";
+  tick.trigger = RunnableTrigger::timing(milliseconds(10));
+  tick.execution_time = [] { return microseconds(120); };
+  tick.accesses.push_back({"out", "a", DataAccessKind::kImplicitWrite});
+  tick.accesses.push_back({"out", "b", DataAccessKind::kImplicitWrite});
+  model.add_type(
+      {"Slow", {Port{"out", "IPair", PortDirection::kProvided}}, {tick}});
+
+  Runnable filter;
+  filter.name = "filter";
+  filter.trigger = RunnableTrigger::data_received("in", "v");
+  filter.wcet_bound = microseconds(300);
+  filter.accesses.push_back({"in", "v", DataAccessKind::kExplicitRead});
+  filter.accesses.push_back({"aux", "a", DataAccessKind::kImplicitRead});
+  filter.accesses.push_back({"out", "v", DataAccessKind::kExplicitWrite});
+  model.add_type({"Filter",
+                  {Port{"in", "IVal", PortDirection::kRequired},
+                   Port{"aux", "IPair", PortDirection::kRequired},
+                   Port{"out", "IVal", PortDirection::kProvided}},
+                  {filter}});
+
+  Runnable act;
+  act.name = "act";
+  act.trigger = RunnableTrigger::data_received("in", "v");
+  act.wcet_bound = microseconds(100);
+  act.accesses.push_back({"in", "v", DataAccessKind::kExplicitRead});
+  Runnable diag;
+  diag.name = "diag";
+  diag.trigger = RunnableTrigger::timing(milliseconds(20));
+  diag.wcet_bound = microseconds(50);
+  diag.accesses.push_back({"in", "v", DataAccessKind::kExplicitRead});
+  model.add_type({"Actuator",
+                  {Port{"in", "IVal", PortDirection::kRequired}},
+                  {act, diag}});
+
+  model.add_instance({"sensor", "Sensor"});
+  model.add_instance({"slow", "Slow"});
+  model.add_instance({"filter", "Filter"});
+  model.add_instance({"act", "Actuator"});
+  model.add_instance({"mon", "Actuator"});
+  model.add_connector({"sensor", "out", "filter", "in"});
+  model.add_connector({"slow", "out", "filter", "aux"});
+  model.add_connector({"filter", "out", "act", "in"});
+  model.add_connector({"sensor", "out", "mon", "in"});
+
+  contracts::Contract c_sensor{.name = "C_Sensor"};
+  c_sensor.guarantees.push_back(
+      {.flow = "out.v",
+       .range = {0, 500},
+       .timing = {.period = milliseconds(5), .latency = milliseconds(2)}});
+  model.bind_contract("sensor", c_sensor);
+  contracts::Contract c_slow{.name = "C_Slow"};
+  c_slow.guarantees.push_back(
+      {.flow = "out", .timing = {.period = milliseconds(10)}});
+  model.bind_contract("slow", c_slow);
+
+  contracts::Contract c_filter{.name = "C_Filter"};
+  c_filter.assumptions.push_back({.flow = "in.v",
+                                  .range = {0, 500},
+                                  .timing = {.latency = milliseconds(4)}});
+  c_filter.guarantees.push_back({.flow = "out.v",
+                                 .range = {0, 1000},
+                                 .timing = {.latency = milliseconds(3)}});
+  contracts::TimedAutomaton ta;
+  const int idle = ta.add_location("idle");
+  const int wait = ta.add_location("wait");
+  const int c = ta.add_clock("c");
+  ta.add_edge(idle, wait, "req", {}, {c});
+  ta.add_edge(wait, idle, "rsp",
+              {{c, contracts::TimedAutomaton::Constraint::Op::kLe, 5}});
+  c_filter.behaviour = contracts::BehaviourSpec{
+      .automaton = ta,
+      .bindings = {{"in.v", "req"}, {"out", "rsp"}},
+      .tick = milliseconds(1)};
+  model.bind_contract("filter", c_filter);
+
+  contracts::Contract c_act{.name = "C_Act"};
+  c_act.assumptions.push_back({.flow = "in",
+                               .range = {0, 1000},
+                               .timing = {.latency = milliseconds(8)}});
+  model.bind_contract("act", c_act);
+  contracts::Contract c_mon{.name = "C_Mon"};
+  c_mon.assumptions.push_back(
+      {.flow = "in.v", .timing = {.latency = milliseconds(3)}});
+  model.bind_contract("mon", c_mon);
+  return model;
+}
+
+vfb::DeploymentPlan chain_plan(vfb::BusKind bus) {
+  vfb::DeploymentPlan plan;
+  plan.bus = bus;
+  plan.instances["sensor"] = {.ecu = "ecu_a"};
+  plan.instances["slow"] = {.ecu = "ecu_a"};
+  plan.instances["filter"] = {.ecu = "ecu_b"};
+  plan.instances["mon"] = {.ecu = "ecu_b"};
+  plan.instances["act"] = {.ecu = "ecu_c"};
+  return plan;
+}
+
+TEST(GoldenDiagnostics, CanChain) {
+  expect_static(
+      static_digests(chain_model(), chain_plan(vfb::BusKind::kCan)),
+      0x1bf5055f7923160bull, 0x8641b3b87aec95e2ull, 0xbc4f2e0c7fb9dc80ull,
+      0x5588b94996dc6f25ull);
+}
+
+TEST(GoldenDiagnostics, FlexRayChain) {
+  expect_static(
+      static_digests(chain_model(), chain_plan(vfb::BusKind::kFlexRay)),
+      0xb8894360b745380dull, 0x468979f76bede0cfull, 0x755d381d706bdc62ull,
+      0x17ce4c98c15d7eedull);
+}
+
+/// One time-triggered ECU: a writer publishes one element explicitly from a
+/// 5 ms and a 10 ms table entry and from an event task, a reader polls it
+/// explicitly every 10 ms (inlining a synchronous server call) and reacts to
+/// it in an event task — event tasks preempt table entries, so V4 reports
+/// torn-read and lost-update hazards.
+TEST(GoldenDiagnostics, TimeTriggeredRaces) {
+  using vfb::DataAccessKind;
+  using vfb::Port;
+  using vfb::PortDirection;
+  using vfb::Runnable;
+  using vfb::RunnableTrigger;
+  vfb::Composition model;
+  vfb::PortInterface ival;
+  ival.name = "IVal";
+  ival.elements.push_back(vfb::DataElement{"v", 32, 0, false});
+  model.add_interface(ival);
+  vfb::PortInterface icalc;
+  icalc.name = "ICalc";
+  icalc.kind = vfb::PortInterface::Kind::kClientServer;
+  icalc.operations.push_back({"scale", microseconds(300)});
+  model.add_interface(icalc);
+
+  Runnable fast;
+  fast.name = "fast";
+  fast.trigger = RunnableTrigger::timing(milliseconds(5));
+  fast.wcet_bound = microseconds(500);
+  fast.accesses.push_back({"out", "v", DataAccessKind::kExplicitWrite});
+  Runnable slow = fast;
+  slow.name = "slow";
+  slow.trigger = RunnableTrigger::timing(milliseconds(10));
+  slow.wcet_bound = microseconds(400);
+  Runnable on_kick;
+  on_kick.name = "on_kick";
+  on_kick.trigger = RunnableTrigger::data_received("trig", "v");
+  on_kick.wcet_bound = microseconds(100);
+  on_kick.accesses.push_back({"trig", "v", DataAccessKind::kImplicitRead});
+  on_kick.accesses.push_back({"out", "v", DataAccessKind::kExplicitWrite});
+  model.add_type({"Writer",
+                  {Port{"out", "IVal", PortDirection::kProvided},
+                   Port{"trig", "IVal", PortDirection::kRequired}},
+                  {fast, slow, on_kick}});
+
+  Runnable poll;
+  poll.name = "poll";
+  poll.trigger = RunnableTrigger::timing(milliseconds(10));
+  poll.wcet_bound = milliseconds(1);
+  poll.accesses.push_back({"in", "v", DataAccessKind::kExplicitRead});
+  poll.server_calls.push_back("calc.scale");
+  Runnable react;
+  react.name = "react";
+  react.trigger = RunnableTrigger::data_received("in", "v");
+  react.wcet_bound = microseconds(200);
+  react.accesses.push_back({"in", "v", DataAccessKind::kExplicitRead});
+  model.add_type({"Reader",
+                  {Port{"in", "IVal", PortDirection::kRequired},
+                   Port{"calc", "ICalc", PortDirection::kRequired}},
+                  {poll, react}});
+
+  model.add_type(
+      {"Server", {Port{"calc", "ICalc", PortDirection::kProvided}}, {}});
+  model.set_operation_handler("Server", "calc", "scale",
+                              [](std::uint64_t x) { return 2 * x; });
+
+  Runnable kick;
+  kick.name = "kick";
+  kick.trigger = RunnableTrigger::timing(milliseconds(20));
+  kick.wcet_bound = microseconds(100);
+  kick.accesses.push_back({"out", "v", DataAccessKind::kImplicitWrite});
+  model.add_type(
+      {"Kicker", {Port{"out", "IVal", PortDirection::kProvided}}, {kick}});
+
+  model.add_instance({"w", "Writer"});
+  model.add_instance({"r", "Reader"});
+  model.add_instance({"srv", "Server"});
+  model.add_instance({"k", "Kicker"});
+  model.add_connector({"w", "out", "r", "in"});
+  model.add_connector({"srv", "calc", "r", "calc"});
+  model.add_connector({"k", "out", "w", "trig"});
+
+  contracts::Contract c_w{.name = "C_W"};
+  c_w.guarantees.push_back(
+      {.flow = "out.v",
+       .range = {0, 100},
+       .timing = {.period = milliseconds(5), .latency = milliseconds(2)}});
+  model.bind_contract("w", c_w);
+  contracts::Contract c_r{.name = "C_R"};
+  c_r.assumptions.push_back({.flow = "in.v",
+                             .range = {0, 100},
+                             .timing = {.latency = milliseconds(6)}});
+  model.bind_contract("r", c_r);
+  contracts::Contract c_k{.name = "C_K"};
+  c_k.guarantees.push_back(
+      {.flow = "out.v", .timing = {.period = milliseconds(20)}});
+  model.bind_contract("k", c_k);
+
+  vfb::DeploymentPlan plan;
+  plan.scheduling = vfb::SchedulingPolicy::kTimeTriggered;
+  for (const char* inst : {"w", "r", "srv", "k"}) {
+    plan.instances[inst] = {.ecu = "tt_ecu"};
+  }
+  expect_static(static_digests(model, plan), 0xc3c3dc08dbc70c49ull,
+                0x7fbc60c8a4625ca0ull, 0xccb3a8f3e11ae26dull,
+                0xd45ccf91990d87a1ull);
 }
 
 }  // namespace
