@@ -70,19 +70,6 @@ std::string_view detector_name(unsigned bit) {
   }
 }
 
-std::string blamed_instance(const rv::Violation& violation) {
-  std::string_view s = violation.subject;
-  // Latency subjects are "source-key -> sink": blame the source.
-  const auto arrow = s.find(" -> ");
-  if (arrow != std::string_view::npos) s = s.substr(0, arrow);
-  // Task subjects are "tk|<instance>|...".
-  if (s.rfind("tk|", 0) == 0) {
-    s.remove_prefix(3);
-    return std::string(s.substr(0, s.find('|')));
-  }
-  return std::string(s.substr(0, s.find('.')));
-}
-
 Outcome classify(const Evidence& evidence, const Domain& domain) {
   if (evidence.baseline) {
     return evidence.detections.empty() ? Outcome::kNominal
@@ -254,7 +241,7 @@ ScenarioResult Campaign::run_scenario(std::size_t index) const {
                                 cfg_.escalation_threshold);
     sys.monitors()->on_violation([&evidence](const rv::Violation& v) {
       evidence.detections.push_back(
-          Detection{v.when, blamed_instance(v), detector_of(v.kind)});
+          Detection{v.when, v.blame, detector_of(v.kind)});
     });
   }
   dem.on_dtc_stored([&result, &kernel](const bsw::Dtc&) {
@@ -308,6 +295,14 @@ ScenarioResult Campaign::run_scenario(std::size_t index) const {
 }
 
 Report Campaign::run() const {
+  if (!faults_.empty()) {
+    const ModelBundle bundle = factory_();
+    sim::Kernel kernel;
+    sim::Trace trace;
+    trace.enable_retention(false);
+    const vfb::System sys(kernel, trace, bundle.model, bundle.plan);
+    check_targets(sys, faults_);
+  }
   const std::size_t n = scenario_count();
   std::vector<ScenarioResult> results(n);
   std::atomic<std::size_t> next{0};

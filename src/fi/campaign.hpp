@@ -98,16 +98,13 @@ inline constexpr unsigned kDetectorCount = 8;
 [[nodiscard]] unsigned detector_of(std::string_view violation_kind);
 [[nodiscard]] std::string_view detector_name(unsigned bit);
 
-/// Component instance a violation blames: "tk|x|..." task subjects map to x,
-/// "a.b.c -> sink" latency subjects to a, plain keys to their first path
-/// segment. This is the same attribution the registry's quarantine uses.
-[[nodiscard]] std::string blamed_instance(const rv::Violation& violation);
-
 /// One monitor violation reduced to what scoring needs.
 struct Detection {
   sim::Time when = 0;
-  std::string instance;    ///< Blamed instance (see blamed_instance()).
-  unsigned detector = 0;   ///< Detector bit.
+  /// Blamed instance (rv::Violation::blame, the attribution the registry's
+  /// quarantine uses too).
+  std::string instance;
+  unsigned detector = 0;  ///< Detector bit.
 };
 
 /// Everything classify() judges — kept free of System/Trace so the scoring
@@ -195,7 +192,10 @@ class Campaign {
     return 1 + faults_.size() * cfg_.replicates;
   }
 
-  /// Run every scenario (on cfg.threads workers) and aggregate.
+  /// Run every scenario (on cfg.threads workers) and aggregate. Every fault
+  /// target is first resolved against one system built from the factory
+  /// (fi::check_targets): an unresolvable one throws std::invalid_argument
+  /// before any worker starts.
   [[nodiscard]] Report run() const;
 
  private:

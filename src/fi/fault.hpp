@@ -20,14 +20,18 @@ namespace orte::fi {
 
 /// The injectable fault kinds, grouped into the four classes the coverage
 /// matrix scores. Target semantics per kind:
-///  * frame faults (drop/corrupt/delay): substring of the frame name,
-///    "" = every frame on the bus,
+///  * frame faults (drop/corrupt/delay): substring of the frame (= I-PDU)
+///    name, "" = every frame on the bus,
 ///  * babbling idiot: the bus itself (target unused); a rogue node is
 ///    attached that floods high-priority frames,
-///  * value faults (corrupt/stuck-at): an RTE sender key
-///    ("instance.port.element") or an instance-name prefix,
-///  * task faults (crash/overrun/jitter): a component instance name,
+///  * value faults (corrupt/stuck-at): a written RTE sender key
+///    ("instance.port.element") or its instance name,
+///  * task faults (crash/overrun/jitter): a component instance owning a
+///    generated task,
 ///  * clock drift: an ECU name (all frames sourced by its bus node drift).
+/// A target that names nothing of its kind in the built system (a frame
+/// substring no PDU name contains, say) is rejected with
+/// std::invalid_argument by fi::install_faults and fi::Campaign::run.
 enum class FaultKind {
   // -- bus plane (class kBus) --
   kFrameDrop,      ///< Lose matching frames at the delivery point.

@@ -32,6 +32,9 @@ namespace orte::rv {
 struct Violation {
   std::string contract;  ///< Contract id (or implicit rule id, "rm.<task>").
   std::string subject;   ///< Subject path: flow key, task or instance name.
+  /// Instance the violation blames (quarantine target, containment
+  /// attribution), copied from the violated spec; empty = nobody.
+  std::string blame;
   std::string kind;      ///< "period" | "jitter" | "deadline" | "response" |
                          ///< "latency" | "range" | "automaton" | "alive".
   std::int64_t observed = 0;  ///< Measured value (ns for timing kinds).

@@ -8,22 +8,6 @@ namespace orte::rv {
 
 namespace {
 
-/// The offending instance is the first path segment of the subject
-/// ("instance.port.element" flow keys, "tk|instance|..." task names, or a
-/// bare instance name).
-std::string instance_of(const std::string& subject) {
-  std::string instance = subject;
-  if (instance.rfind("tk|", 0) == 0) {
-    instance = instance.substr(3);
-    const auto bar = instance.find('|');
-    if (bar != std::string::npos) instance.resize(bar);
-  } else {
-    const auto dot = instance.find('.');
-    if (dot != std::string::npos) instance.resize(dot);
-  }
-  return instance;
-}
-
 constexpr std::string_view kDemPrefix = "rv.";
 
 }  // namespace
@@ -244,9 +228,8 @@ void MonitorRegistry::escalate(const Violation& cause) {
   pre_escalation_mode_ = modes_->current();
   modes_->request(degraded_mode_);
   if (quarantine_) {
-    const std::string instance = instance_of(cause.subject);
-    contracts_[cause.contract].quarantined_instance = instance;
-    quarantine_(instance, cause);
+    contracts_[cause.contract].quarantined_instance = cause.blame;
+    quarantine_(cause.blame, cause);
   }
 }
 

@@ -53,8 +53,7 @@ namespace orte::rv {
 class MonitorRegistry {
  public:
   using ViolationCallback = std::function<void(const Violation&)>;
-  /// Receives the instance/subject to sanction (from Violation::subject's
-  /// first path segment).
+  /// Receives the instance to sanction (the cause's Violation::blame).
   using QuarantineHook = std::function<void(const std::string& instance,
                                             const Violation& cause)>;
   /// Receives the instance to rehabilitate when its contract's DTC aged out.

@@ -1,16 +1,16 @@
 // Structured event trace. Observers (tests, benches, runtime monitors)
-// subscribe to the live stream; records are also retained for post-run
-// queries when retention is on.
+// subscribe to the live stream of interned IDs; records are also retained
+// for post-run queries when retention is on.
 //
 // Category and subject strings are interned into dense integer TraceIds, so
 // the hot path is allocation-free and O(1). Emitters that fire per job
 // (os::Ecu, vfb::Rte) intern their names once at construction and call the
 // ID overload of emit(), which hashes nothing: it bumps a per-category
 // counter and one cell of that category's count row (indexed by subject
-// ID), and only builds a TraceRecord when somebody observes the stream
-// (listeners or retention). The string overload interns both names with one
-// transparent hash lookup each and forwards to it. Records carry the IDs
-// alongside the strings so downstream consumers (rv::MonitorRegistry,
+// ID), notifies the ID listeners, and only builds a TraceRecord when
+// retention is on. The string overload interns both names with one
+// transparent hash lookup each and forwards to it. Listeners and records
+// carry the IDs so downstream consumers (rv::MonitorRegistry,
 // isolation::ContainmentMonitor) route and compare integers, never strings.
 // IDs are stable for the lifetime of the Trace — clear() resets counts and
 // records but keeps the intern tables.
@@ -47,7 +47,7 @@ struct TraceRecord {
   TraceId subject_id = kNoTraceId;   ///< Intern ID of `subject`.
 };
 
-/// Allocation-free view of one emission, delivered to ID listeners
+/// Allocation-free view of one emission, delivered to listeners
 /// (subscribe_ids). Carries the interned IDs instead of the name strings —
 /// consumers that route on TraceIds (rv::MonitorRegistry) never pay a string
 /// assignment; names are recoverable through Trace::category_name /
@@ -63,7 +63,6 @@ struct TraceEvent {
 
 class Trace {
  public:
-  using Listener = std::function<void(const TraceRecord&)>;
   using IdListener = std::function<void(const TraceEvent&)>;
 
   void enable_retention(bool on) { retain_ = on; }
@@ -80,48 +79,28 @@ class Trace {
             std::int64_t value = 0, std::string_view detail = {}) {
     assert(category < categories_.size() && subject < subjects_.size());
     bump(category, subject);
-    // ID listeners run first, before any record is materialized: when every
-    // observer routes on TraceIds (the rv-bound configuration) and retention
-    // is off, an emit costs the count bumps and this loop — no string is
-    // assigned or copied anywhere.
+    // Listeners see IDs only: with retention off, an emit costs the count
+    // bumps and this loop — no string is assigned or copied anywhere.
     if (!id_listeners_.empty()) {
       const TraceEvent ev{when, category, subject, value, detail};
       for (const auto& l : id_listeners_) l(ev);
     }
     if (!retain_) {
       records_complete_ = false;
-      if (listeners_.empty()) return;  // no string observer: done
-      // Listener-only path: notify through a reused scratch record — the
-      // string assignments reuse capacity, so a warmed-up monitored run
-      // emits with zero allocations.
-      scratch_.when = when;
-      scratch_.category.assign(categories_.name(category));
-      scratch_.subject.assign(subjects_.name(subject));
-      scratch_.value = value;
-      scratch_.detail.assign(detail);
-      scratch_.category_id = category;
-      scratch_.subject_id = subject;
-      for (const auto& l : listeners_) l(scratch_);
       return;
     }
-    TraceRecord rec{when,
-                    std::string(categories_.name(category)),
-                    std::string(subjects_.name(subject)),
-                    value,
-                    std::string(detail),
-                    category,
-                    subject};
-    for (const auto& l : listeners_) l(rec);
-    records_.push_back(std::move(rec));
+    records_.push_back(TraceRecord{when,
+                                   std::string(categories_.name(category)),
+                                   std::string(subjects_.name(subject)),
+                                   value,
+                                   std::string(detail),
+                                   category,
+                                   subject});
   }
 
-  void subscribe(Listener listener) {
-    listeners_.push_back(std::move(listener));
-  }
-
-  /// Subscribe an ID-only listener: it receives a TraceEvent (interned IDs,
-  /// no name strings) for every emission, before the string listeners run.
-  /// This is the fan-out fast path for routers that compare TraceIds.
+  /// Subscribe a listener: it receives a TraceEvent (interned IDs, no name
+  /// strings) for every emission, in subscription order. Names are
+  /// recoverable through category_name() / subject_name().
   void subscribe_ids(IdListener listener) {
     id_listeners_.push_back(std::move(listener));
   }
@@ -328,10 +307,8 @@ class Trace {
     if (row[subject]++ == 0) category_subjects_[category].push_back(subject);
   }
 
-  std::vector<Listener> listeners_;
   std::vector<IdListener> id_listeners_;
   std::vector<TraceRecord> records_;
-  TraceRecord scratch_;  ///< Reused for listener-only (no-retention) emits.
   Interner categories_;
   Interner subjects_;
   std::vector<std::size_t> category_counts_;  ///< Indexed by category ID.

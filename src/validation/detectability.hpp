@@ -6,9 +6,9 @@
 // same verdicts *statically*, before any simulation: for each fi::Fault
 // plane it derives the set of trace observables the fault perturbs (frame
 // delivery, `rte.write`/`rte.deliver` values, task timing, clock skew),
-// propagates value perturbations along the V8 slot dataflow graph, and
-// intersects the result with the monitor inventory vfb::System would
-// compile from the bound contracts:
+// propagates value perturbations along the lowered slot dataflow, and
+// intersects the result with the lowered monitor inventory — the one
+// vfb::System compiles — including the instance each monitor blames:
 //
 //  V13 undetectable fault class — the fault perturbs observables but no
 //      compiled monitor watches any of them (the canonical instance: crash
@@ -40,14 +40,15 @@
 #include "fi/fault.hpp"
 #include "validation/diagnostics.hpp"
 #include "vfb/deployment.hpp"
+#include "vfb/lowering.hpp"
 #include "vfb/model.hpp"
 
 namespace orte::validation {
 
 /// One compiled runtime-monitor plane, reduced to what detectability needs:
-/// the observable it watches and the instance its violations would blame.
-/// Mirrors vfb::System::build_monitors (plus the alive-supervision planes
-/// System::build_alive_supervision adds when the plan opts in).
+/// the observable it watches and the instance its violations blame. Derived
+/// from the lowered monitor inventory (vfb::Lowering::monitors), so the
+/// static blame is the runtime blame.
 struct MonitorPlane {
   enum class Kind {
     kArrival,       ///< Guarantee period — senses write *timing*.
@@ -59,12 +60,11 @@ struct MonitorPlane {
     kAlive,         ///< Watchdog alive supervision — senses write *absence*.
   };
   Kind kind = Kind::kArrival;
-  std::string contract;
   /// Rendered observable the plane watches, e.g. "write-timing pedal.out.pos"
   /// or "delivery pedal.out.pos -> wheel_fl".
   std::string observable;
-  /// Instance a violation of this plane blames (the containment attribution
-  /// fi::blamed_instance would compute at run time).
+  /// Instance a violation of this plane blames (the monitor spec's blame,
+  /// which rv::Violation::blame carries at run time).
   std::string blame;
 };
 
@@ -109,7 +109,7 @@ struct DetectabilityAnalysis {
 /// per constrained guarantee flow). Requires a deployment plan; silent when
 /// the plan disables runtime_verification (V10's jurisdiction).
 void check_detectability(
-    const vfb::Composition& model, const vfb::DeploymentPlan& plan,
+    const vfb::Lowering& lowering, const vfb::DeploymentPlan& plan,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     Diagnostics& out);
 

@@ -2,12 +2,10 @@
 //
 // A DeploymentPlan assigns component instances to ECUs, picks the backbone
 // bus and scheduling policy, and attaches timing-isolation attributes
-// (budgets, partitions). It is consumed by two independent passes:
-//  * validation::Validator — the design-time static analysis (rules that
-//    need deployment context: races, cross-ECU feasibility, task limits),
-//  * vfb::System — the generator that turns Composition + plan into an
-//    executable distributed system.
-// Keeping it free of generator state lets the validator run without
+// (budgets, partitions). vfb::lower() turns Composition + plan into the
+// deployment (tasks, frames, flows, monitors); vfb::System instantiates
+// that lowering and validation::Validator analyses the same one. Keeping
+// the plan free of generator state lets the validator run without
 // constructing any runtime object.
 #pragma once
 
@@ -82,10 +80,5 @@ struct DeploymentPlan {
   /// declared on the mode machine handed to escalate_to().
   std::string recovery_mode;
 };
-
-/// Task-numbering constants shared by the generator and the validator so the
-/// race detector reasons about exactly the tasks the generator would emit.
-inline constexpr int kPeriodicBasePriority = 150;
-inline constexpr std::size_t kMaxPeriodicTasksPerEcu = 140;
 
 }  // namespace orte::vfb

@@ -1,9 +1,10 @@
-// Fault-injection campaign engine (src/fi): scoring rules, blame
-// attribution, the isolation-helper unification, and the brake_by_wire
+// Fault-injection campaign engine (src/fi): scoring rules, fault-target
+// resolution, the isolation-helper unification, and the brake_by_wire
 // campaign's headline properties — thread-count-invariant determinism and
 // non-zero detected/contained coverage for all four fault classes.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,23 +59,7 @@ TEST(FiFault, LabelNamesKindAndTarget) {
             "babbling_idiot");
 }
 
-// --- Blame attribution --------------------------------------------------------
-
-rv::Violation violation_on(std::string subject, std::string kind = "range") {
-  rv::Violation v;
-  v.subject = std::move(subject);
-  v.kind = std::move(kind);
-  return v;
-}
-
-TEST(FiScoring, BlamedInstanceParsesSubjectShapes) {
-  EXPECT_EQ(fi::blamed_instance(violation_on("pedal.out.pos")), "pedal");
-  EXPECT_EQ(fi::blamed_instance(violation_on("tk|pedal|5000000")), "pedal");
-  EXPECT_EQ(fi::blamed_instance(
-                violation_on("pedal.out.pos -> wheel_fl.in.pos", "latency")),
-            "pedal");
-  EXPECT_EQ(fi::blamed_instance(violation_on("wheel_fl")), "wheel_fl");
-}
+// --- Scoring primitives -------------------------------------------------------
 
 TEST(FiScoring, DetectorOfMapsEveryMonitorKind) {
   EXPECT_EQ(fi::detector_of("period"), fi::kDetArrival);
@@ -222,6 +207,119 @@ TEST(FiInjector, CrashSwallowsWritesPermanently) {
   EXPECT_GT(trace.count("rte.fault_drop"), 0u);
 }
 
+// --- Fault targets resolve or are rejected ------------------------------------
+
+/// Install `fault` on a fresh brake_by_wire system; returns the rejection
+/// message, or "" when the target resolved.
+std::string rejection_of(const Fault& fault) {
+  fi::ModelBundle bundle = fi::workloads::brake_by_wire();
+  sim::Kernel kernel;
+  sim::Trace trace;
+  vfb::System sys(kernel, trace, bundle.model, bundle.plan);
+  try {
+    fi::install_faults(kernel, sys, {fault}, sim::Rng(1));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The target is rejected, and the message names it and lists `valid`.
+void expect_rejected(const Fault& fault, const std::string& valid) {
+  const std::string message = rejection_of(fault);
+  ASSERT_FALSE(message.empty()) << fault.label() << " was accepted";
+  EXPECT_NE(message.find('"' + fault.target + '"'), std::string::npos)
+      << message;
+  EXPECT_NE(message.find(valid), std::string::npos) << message;
+}
+
+TEST(FiTargets, FrameDropNeedsAPduNameContainingTheTarget) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kFrameDrop}), "");
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kFrameDrop,
+                          .target = "pedal_ecu"}),
+            "");
+  expect_rejected({.kind = FaultKind::kFrameDrop, .target = "pedal-ecu"},
+                  "pdu|pedal_ecu|5000000|0");
+}
+
+TEST(FiTargets, FrameCorruptNeedsAPduNameContainingTheTarget) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kFrameCorrupt,
+                          .target = "pdu|"}),
+            "");
+  expect_rejected({.kind = FaultKind::kFrameCorrupt, .target = "wheel_fl"},
+                  "pdu|pedal_ecu|5000000|0");
+}
+
+TEST(FiTargets, FrameDelayNeedsAPduNameContainingTheTarget) {
+  expect_rejected({.kind = FaultKind::kFrameDelay, .target = "sg|pedal"},
+                  "pdu|pedal_ecu|5000000|0");
+}
+
+TEST(FiTargets, BabblingIdiotIgnoresItsTarget) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kBabblingIdiot,
+                          .target = "anything"}),
+            "");
+}
+
+TEST(FiTargets, StuckAtNeedsAWrittenSenderKey) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kStuckAt,
+                          .target = "pedal.out.pos"}),
+            "");
+  expect_rejected({.kind = FaultKind::kStuckAt, .target = "pedal.out.pso"},
+                  "pedal.out.pos");
+  // A receiver slot is not written by any runnable.
+  expect_rejected({.kind = FaultKind::kStuckAt, .target = "wheel_fl.in.pos"},
+                  "pedal.out.pos");
+}
+
+TEST(FiTargets, ValueCorruptNeedsAWrittenKeyOrItsInstance) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kValueCorrupt,
+                          .target = "pedal"}),
+            "");
+  expect_rejected({.kind = FaultKind::kValueCorrupt, .target = "pedal.in"},
+                  "pedal.out.pos");
+  expect_rejected({.kind = FaultKind::kValueCorrupt, .target = "wheel_fl"},
+                  "pedal.out.pos");
+}
+
+TEST(FiTargets, TaskCrashNeedsAnInstanceOwningATask) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kTaskCrash, .target = "pedal"}),
+            "");
+  expect_rejected({.kind = FaultKind::kTaskCrash, .target = "pedal_ecu"},
+                  "pedal, wheel_fl, wheel_fr, wheel_rl, wheel_rr");
+}
+
+TEST(FiTargets, WcetOverrunNeedsAnInstanceOwningATask) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kWcetOverrun,
+                          .target = "wheel_rr"}),
+            "");
+  expect_rejected({.kind = FaultKind::kWcetOverrun, .target = "pedl"},
+                  "pedal, wheel_fl, wheel_fr, wheel_rl, wheel_rr");
+}
+
+TEST(FiTargets, ExecutionJitterNeedsAnInstanceOwningATask) {
+  expect_rejected(
+      {.kind = FaultKind::kExecutionJitter, .target = "pedal.out.pos"},
+                  "pedal, wheel_fl, wheel_fr, wheel_rl, wheel_rr");
+}
+
+TEST(FiTargets, ClockDriftNeedsAnEcu) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kClockDrift,
+                          .target = "fl_ecu"}),
+            "");
+  expect_rejected({.kind = FaultKind::kClockDrift, .target = "pedal-ecu"},
+                  "fl_ecu, fr_ecu, pedal_ecu, rl_ecu, rr_ecu");
+}
+
+TEST(FiTargets, CampaignRejectsABadTargetBeforeAnyScenarioRuns) {
+  fi::CampaignConfig cfg;
+  cfg.threads = 2;
+  fi::Campaign campaign([] { return fi::workloads::brake_by_wire(); }, cfg);
+  campaign.add_fault({.kind = FaultKind::kStuckAt, .target = "pedal.out.pos"});
+  campaign.add_fault({.kind = FaultKind::kWcetOverrun, .target = "pedl"});
+  EXPECT_THROW((void)campaign.run(), std::invalid_argument);
+}
+
 // --- Campaign over brake_by_wire ----------------------------------------------
 
 fi::Campaign bbw_campaign(std::size_t threads, std::size_t replicates) {
@@ -295,13 +393,19 @@ TEST(FiCampaign, ReportIsBitIdenticalAcrossThreadCounts) {
 
 TEST(FiCrossCheck, StaticVerdictsPredictCampaignOutcomes) {
   // The acceptance property of the detectability analysis: over the standard
-  // grid plus the fail-silent crash, zero disagreements between the static
-  // verdict and what the campaign measures. Predicted-undetectable faults
+  // grid plus the fail-silent crash and PDU-targeted frame faults, zero
+  // disagreements between the static verdict and what the campaign
+  // measures. Predicted-undetectable faults
   // must score missed; predicted-detectable ones must be detected; a
   // predicted containment holds for every replicate.
   const fi::ModelBundle bundle = fi::workloads::brake_by_wire();
   std::vector<Fault> faults = fi::workloads::standard_faults();
   faults.push_back(Fault{.kind = FaultKind::kTaskCrash, .target = "pedal"});
+  // Frame faults aimed by PDU name: the pedal ECU's frame, and every PDU.
+  faults.push_back(Fault{.kind = FaultKind::kFrameDrop, .target = "pedal_ecu"});
+  faults.push_back(Fault{.kind = FaultKind::kFrameDrop, .target = "pdu|"});
+  faults.push_back(
+      Fault{.kind = FaultKind::kFrameCorrupt, .target = "pedal_ecu"});
 
   const auto analysis = orte::validation::analyze_detectability(
       bundle.model, bundle.plan, bundle.model.bound_contracts(), faults);

@@ -304,6 +304,7 @@ TEST(MonitorRegistry, EscalatesToDegradedModeAndQuarantines) {
   rv::MonitorRegistry reg(trace);
   reg.add_arrival({.contract = "C",
                    .subject = "pedal.pedal.stamp",
+                   .blame = "pedal",
                    .period = sim::milliseconds(5)});
   std::vector<std::string> quarantined;
   reg.quarantine_with([&](const std::string& instance, const rv::Violation&) {
@@ -318,7 +319,7 @@ TEST(MonitorRegistry, EscalatesToDegradedModeAndQuarantines) {
   trace.emit(sim::milliseconds(16), "rte.write", "pedal.pedal.stamp");
   EXPECT_TRUE(reg.escalated());
   EXPECT_TRUE(modes.in("DEGRADED"));
-  // The hook receives the first path segment of the violating subject.
+  // The hook receives the instance the violated spec blames.
   ASSERT_EQ(quarantined.size(), 1u);
   EXPECT_EQ(quarantined[0], "pedal");
   // reset() re-arms escalation but ModeMachine state is the integrator's.
@@ -549,6 +550,7 @@ TEST(MonitorRegistry, AgedOutDtcReleasesQuarantineAndRecoversMode) {
   rv::MonitorRegistry reg(trace);
   auto& monitor = reg.add_arrival({.contract = "C",
                                    .subject = "pedal.pedal.stamp",
+                                   .blame = "pedal",
                                    .period = sim::milliseconds(5)});
   reg.report_to(dem, /*debounce_threshold=*/2, /*aging_cycles=*/2);
   reg.escalate_to(modes, "DEGRADED", /*threshold=*/2);

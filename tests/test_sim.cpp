@@ -360,8 +360,8 @@ TEST(Trace, RetainsAndCounts) {
 TEST(Trace, ListenersSeeEveryEmit) {
   Trace t;
   int seen = 0;
-  t.subscribe([&](const TraceRecord& r) {
-    if (r.category == "hit") ++seen;
+  t.subscribe_ids([&](const TraceEvent& e) {
+    if (t.category_name(e.category_id) == "hit") ++seen;
   });
   t.emit(1, "hit", "a");
   t.emit(2, "miss", "b");
@@ -391,9 +391,9 @@ TEST(Trace, CountsWorkWithRetentionDisabled) {
 TEST(Trace, ListenersRunInSubscriptionOrder) {
   Trace t;
   std::vector<int> order;
-  t.subscribe([&](const TraceRecord&) { order.push_back(1); });
-  t.subscribe([&](const TraceRecord&) { order.push_back(2); });
-  t.subscribe([&](const TraceRecord&) { order.push_back(3); });
+  t.subscribe_ids([&](const TraceEvent&) { order.push_back(1); });
+  t.subscribe_ids([&](const TraceEvent&) { order.push_back(2); });
+  t.subscribe_ids([&](const TraceEvent&) { order.push_back(3); });
   t.emit(1, "cat", "s");
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -730,18 +730,7 @@ TEST(Kernel, PoolSlotsAreRecycledNotGrown) {
   EXPECT_EQ(k.counters().executed, 64u);
 }
 
-// --- Trace ID-only listener fast path ----------------------------------------
-
-TEST(Trace, IdListenersRunBeforeStringListeners) {
-  Trace t;
-  std::vector<std::string> seq;
-  t.subscribe([&](const TraceRecord&) { seq.push_back("string"); });
-  t.subscribe_ids([&](const TraceEvent&) { seq.push_back("id"); });
-  t.emit(1, "cat", "s");
-  ASSERT_EQ(seq.size(), 2u);
-  EXPECT_EQ(seq[0], "id");  // regardless of subscription order
-  EXPECT_EQ(seq[1], "string");
-}
+// --- Trace ID listeners -------------------------------------------------------
 
 TEST(Trace, IdListenersGetInternedIdsValueAndDetail) {
   Trace t;
