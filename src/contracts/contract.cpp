@@ -18,6 +18,16 @@ const FlowSpec* Contract::guarantee(std::string_view flow) const {
   return nullptr;
 }
 
+const FlowSpec* Contract::flow_spec(std::string_view port,
+                                    std::string_view element,
+                                    bool assumption) const {
+  const auto find = [&](std::string_view flow) {
+    return assumption ? this->assumption(flow) : guarantee(flow);
+  };
+  const FlowSpec* f = find(std::string(port) + "." + std::string(element));
+  return f != nullptr ? f : find(port);
+}
+
 void CheckResult::merge(const CheckResult& other) {
   ok = ok && other.ok;
   confidence = std::min(confidence, other.confidence);
