@@ -1,4 +1,5 @@
-# Run one example binary and compare its output with the golden files.
+# Run one example (or experiment bench) binary and compare its output with
+# the golden files.
 #
 #   cmake -DEXE=<binary> -DNAME=<example> -DGOLDEN_DIR=<dir> [-DSARIF=ON]
 #         -P check_example.cmake
