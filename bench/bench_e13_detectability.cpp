@@ -95,9 +95,7 @@ int main() {
       fi::Fault{.kind = fi::FaultKind::kTaskCrash, .target = "pedal"});
 
   const validation::DetectabilityAnalysis analysis =
-      validation::analyze_detectability(bundle.model, bundle.plan,
-                                        bundle.model.bound_contracts(),
-                                        faults);
+      validation::analyze_detectability(bundle.model, bundle.plan, faults);
 
   bench::print_title("E13: static fault detectability (brake_by_wire, " +
                      std::to_string(analysis.monitors.size()) +

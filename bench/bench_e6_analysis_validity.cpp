@@ -222,8 +222,8 @@ ChainCaseResult run_chain_case() {
   }
 
   bench::WallClock clock;
-  const auto analysis = validation::analyze_chains(
-      vfb::lower(comp, plan, comp.bound_contracts()), comp.bound_contracts());
+  const auto analysis = validation::analyze_chains(vfb::lower(comp, plan),
+                                                   comp.bound_contracts());
   out.analysis_wall_ms = clock.elapsed_ms();
   out.fixpoint_iterations = analysis.iterations;
   for (const auto& cb : analysis.bounds) {

@@ -250,11 +250,9 @@ int main(int argc, char** argv) {
       contracts::FlowSpec{.flow = "speed_in.val",
                           .range = {0, 260}});
 
-  const auto report = validation::Validator(c)
-                          .with_deployment(plan)
-                          .with_contract("sensor", sensor_contract)
-                          .with_contract("display", display_contract)
-                          .run();
+  c.bind_contract("sensor", sensor_contract);
+  c.bind_contract("display", display_contract);
+  const auto report = validation::validate(c, plan);
   print_report("full lint of the messy body-domain model", report);
 
   // --- Part 2: the V4 race, and its implicit twin ----------------------------
@@ -280,7 +278,7 @@ int main(int argc, char** argv) {
               buffered.by_rule("V4").empty() ? "no" : "yes");
 
   // --- Part 3: whole-program rules V8..V12 on a two-ECU chain model ----------
-  const Composition chains = chain_model();
+  Composition chains = chain_model();
 
   DeploymentPlan chain_plan;
   chain_plan.instances["source"] = {.ecu = "front"};
@@ -329,13 +327,11 @@ int main(int argc, char** argv) {
   c_gauge.assumptions.push_back(
       contracts::FlowSpec{.flow = "disp.val", .range = {0, 50}});
 
-  const auto chain_report = validation::Validator(chains)
-                                .with_deployment(chain_plan)
-                                .with_contract("source", c_source)
-                                .with_contract("mixer", c_mixer)
-                                .with_contract("hmi", c_hmi)
-                                .with_contract("gauge", c_gauge)
-                                .run();
+  chains.bind_contract("source", c_source);
+  chains.bind_contract("mixer", c_mixer);
+  chains.bind_contract("hmi", c_hmi);
+  chains.bind_contract("gauge", c_gauge);
+  const auto chain_report = validation::validate(chains, chain_plan);
   print_report("whole-program chain analysis (V8..V12)", chain_report);
   for (const char* rule : {"V8", "V9", "V10", "V11", "V12"}) {
     std::printf("%s findings: %zu\n", rule,

@@ -172,42 +172,6 @@ void Campaign::add_fault(Fault fault) {
   faults_.push_back(std::move(fault));
 }
 
-Domain Campaign::domain_of(const Fault& fault,
-                           const vfb::DeploymentPlan& plan) const {
-  Domain domain;
-  switch (fault.kind) {
-    case FaultKind::kFrameDrop:
-    case FaultKind::kFrameCorrupt:
-    case FaultKind::kFrameDelay:
-      // A bus fault may disturb any deployed component; detection anywhere
-      // is in-domain (the fault's blast radius IS the shared medium).
-      domain.everything = true;
-      break;
-    case FaultKind::kBabblingIdiot:
-      // The rogue node is not a component: every disturbance of real
-      // components is a leak. (On TDMA buses the static schedule contains
-      // the babbler structurally — the fault then scores missed.)
-      break;
-    case FaultKind::kValueCorrupt:
-    case FaultKind::kStuckAt:
-      domain.instances.insert(
-          fault.target.substr(0, fault.target.find('.')));
-      break;
-    case FaultKind::kTaskCrash:
-    case FaultKind::kWcetOverrun:
-    case FaultKind::kExecutionJitter:
-      domain.instances.insert(fault.target);
-      break;
-    case FaultKind::kClockDrift:
-      // Everything on the drifting ECU shares its broken clock.
-      for (const auto& [instance, dep] : plan.instances) {
-        if (dep.ecu == fault.target) domain.instances.insert(instance);
-      }
-      break;
-  }
-  return domain;
-}
-
 ScenarioResult Campaign::run_scenario(std::size_t index) const {
   ScenarioResult result;
   result.index = index;

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -115,21 +114,9 @@ struct Evidence {
   std::vector<Detection> detections;
 };
 
-/// The set of instances a fault is allowed to disturb. Bus-wide faults set
-/// `everything` (any blame is in-domain -> contained if detected); a
-/// babbling idiot has an EMPTY domain (the rogue node is not a component,
-/// so any disturbance of real components is a leak).
-struct Domain {
-  bool everything = false;
-  std::set<std::string> instances;
-
-  [[nodiscard]] bool contains(const std::string& instance) const {
-    return everything || instances.count(instance) > 0;
-  }
-};
-
-/// The pure scoring rule (see Outcome). Pre-onset detections dominate
-/// (spurious), then silence (missed/nominal), then containment.
+/// The pure scoring rule (see Outcome) against the fault's containment
+/// domain (fi::domain_of). Pre-onset detections dominate (spurious), then
+/// silence (missed/nominal), then containment.
 [[nodiscard]] Outcome classify(const Evidence& evidence, const Domain& domain);
 
 // --- Results ------------------------------------------------------------------
@@ -200,8 +187,6 @@ class Campaign {
 
  private:
   [[nodiscard]] ScenarioResult run_scenario(std::size_t index) const;
-  [[nodiscard]] Domain domain_of(const Fault& fault,
-                                 const vfb::DeploymentPlan& plan) const;
 
   ModelFactory factory_;
   CampaignConfig cfg_;

@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <string_view>
 
 #include "sim/time.hpp"
+#include "vfb/deployment.hpp"
 
 namespace orte::fi {
 
@@ -31,7 +33,10 @@ namespace orte::fi {
 ///  * clock drift: an ECU name (all frames sourced by its bus node drift).
 /// A target that names nothing of its kind in the built system (a frame
 /// substring no PDU name contains, say) is rejected with
-/// std::invalid_argument by fi::install_faults and fi::Campaign::run.
+/// std::invalid_argument by fi::install_faults and fi::Campaign::run, and so
+/// is a parameter that would throw inside a job or never act: a jitter
+/// magnitude outside [0, 1], an overrun magnitude below 1, a frame delay on
+/// a FlexRay bus.
 enum class FaultKind {
   // -- bus plane (class kBus) --
   kFrameDrop,      ///< Lose matching frames at the delivery point.
@@ -98,6 +103,58 @@ struct Fault {
       return FaultClass::kClock;
   }
   return FaultClass::kBus;  // unreachable
+}
+
+/// The set of instances a fault is allowed to disturb. Bus-wide faults set
+/// `everything` (any blame is in-domain -> contained if detected); a
+/// babbling idiot has an EMPTY domain (the rogue node is not a component,
+/// so any disturbance of real components is a leak).
+struct Domain {
+  bool everything = false;
+  std::set<std::string> instances;
+
+  [[nodiscard]] bool contains(const std::string& instance) const {
+    return everything || instances.count(instance) > 0;
+  }
+};
+
+/// Containment domain of `fault` deployed under `plan`: the one rule
+/// fi::Campaign scores with and the detectability analysis (V13–V15)
+/// predicts with. Inline, like fault_class, so validation needs no link
+/// dependency on the fi library.
+[[nodiscard]] inline Domain domain_of(const Fault& fault,
+                                      const vfb::DeploymentPlan& plan) {
+  Domain domain;
+  switch (fault.kind) {
+    case FaultKind::kFrameDrop:
+    case FaultKind::kFrameCorrupt:
+    case FaultKind::kFrameDelay:
+      // A bus fault may disturb any deployed component; detection anywhere
+      // is in-domain (the fault's blast radius IS the shared medium).
+      domain.everything = true;
+      break;
+    case FaultKind::kBabblingIdiot:
+      // The rogue node is not a component: every disturbance of real
+      // components is a leak. (On TDMA buses the static schedule contains
+      // the babbler structurally — the fault then scores missed.)
+      break;
+    case FaultKind::kValueCorrupt:
+    case FaultKind::kStuckAt:
+      domain.instances.insert(fault.target.substr(0, fault.target.find('.')));
+      break;
+    case FaultKind::kTaskCrash:
+    case FaultKind::kWcetOverrun:
+    case FaultKind::kExecutionJitter:
+      domain.instances.insert(fault.target);
+      break;
+    case FaultKind::kClockDrift:
+      // Everything on the drifting ECU shares its broken clock.
+      for (const auto& [instance, dep] : plan.instances) {
+        if (dep.ecu == fault.target) domain.instances.insert(instance);
+      }
+      break;
+  }
+  return domain;
 }
 
 [[nodiscard]] std::string_view to_string(FaultKind kind);

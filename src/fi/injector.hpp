@@ -25,8 +25,11 @@ namespace orte::fi {
 
 /// Throw std::invalid_argument for the first fault whose target names
 /// nothing the system's lowering generated (see fi::FaultKind) — such a fault
-/// could never fire and would silently score `missed`. The message names
-/// the target and lists the valid names of its kind.
+/// could never fire and would silently score `missed`; the message names the
+/// target and lists the valid names of its kind. Once its target resolves,
+/// a fault is also rejected for a parameter that would throw inside a job
+/// (jitter magnitude outside [0, 1], overrun magnitude below 1) or could
+/// never act (a frame delay on FlexRay, whose static slots pin timing).
 void check_targets(const vfb::System& sys, const std::vector<Fault>& faults);
 
 /// Install every fault onto `sys` (after check_targets). Stochastic

@@ -136,13 +136,13 @@ struct Plane {
 /// miss), then every flow monitor in inventory order.
 std::vector<Plane> build_planes(const World& w) {
   std::vector<Plane> planes;
-  const auto add = [&planes](MonitorPlane::Kind kind, Atom atom,
+  const auto add = [&planes](MonitorEntry::Kind kind, Atom atom,
                              const std::string& blame) {
     planes.push_back(Plane{MonitorPlane{kind, render(atom), blame},
                            std::move(atom)});
   };
   for (const auto& instance : w.periodic_instances) {
-    add(MonitorPlane::Kind::kDeadline,
+    add(MonitorEntry::Kind::kDeadline,
         Atom{Atom::Kind::kTaskTiming, instance}, instance);
   }
   for (const auto& m : w.lowering.monitors) {
@@ -150,33 +150,27 @@ std::vector<Plane> build_planes(const World& w) {
       case MonitorEntry::Kind::kDeadline:
         break;  // one plane per periodic instance, above
       case MonitorEntry::Kind::kArrival:
-        add(MonitorPlane::Kind::kArrival,
-            Atom{Atom::Kind::kWriteTiming, m.subject}, m.blame);
+        add(m.kind, Atom{Atom::Kind::kWriteTiming, m.subject}, m.blame);
         break;
       case MonitorEntry::Kind::kRangeWrite:
-        add(MonitorPlane::Kind::kRangeWrite,
-            Atom{Atom::Kind::kWriteValue, m.subject}, m.blame);
+        add(m.kind, Atom{Atom::Kind::kWriteValue, m.subject}, m.blame);
         break;
       case MonitorEntry::Kind::kRangeDeliver:
-        add(MonitorPlane::Kind::kRangeDeliver,
-            Atom{Atom::Kind::kDeliverValue, m.subject}, m.blame);
+        add(m.kind, Atom{Atom::Kind::kDeliverValue, m.subject}, m.blame);
         break;
       case MonitorEntry::Kind::kLatency:
         // One delivery edge: producer write -> consumer activation.
-        add(MonitorPlane::Kind::kLatency,
-            Atom{Atom::Kind::kDelivery, m.subject + " -> " + m.sink}, m.blame);
+        add(m.kind, Atom{Atom::Kind::kDelivery, m.subject + " -> " + m.sink},
+            m.blame);
         break;
       case MonitorEntry::Kind::kAutomaton:
         // A perturbed value or shifted timing can break the word.
-        add(MonitorPlane::Kind::kAutomaton,
-            Atom{Atom::Kind::kWriteValue, m.subject}, m.blame);
-        add(MonitorPlane::Kind::kAutomaton,
-            Atom{Atom::Kind::kWriteTiming, m.subject}, m.blame);
+        add(m.kind, Atom{Atom::Kind::kWriteValue, m.subject}, m.blame);
+        add(m.kind, Atom{Atom::Kind::kWriteTiming, m.subject}, m.blame);
         break;
       case MonitorEntry::Kind::kAlive:
         // The only plane that observes the *absence* of writes.
-        add(MonitorPlane::Kind::kAlive,
-            Atom{Atom::Kind::kWriteAbsence, m.subject}, m.blame);
+        add(m.kind, Atom{Atom::Kind::kWriteAbsence, m.subject}, m.blame);
         break;
     }
   }
@@ -251,8 +245,12 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
     }
   };
   switch (f.kind) {
-    case fi::FaultKind::kFrameDrop:
     case fi::FaultKind::kFrameDelay:
+      // TDMA static slots pin frame timing: the bus ignores the delay, so
+      // the fault perturbs nothing (fi::check_targets rejects it there).
+      if (plan.bus != vfb::BusKind::kCan) break;
+      [[fallthrough]];
+    case fi::FaultKind::kFrameDrop:
       for (const vfb::FlowEdge* e : frame_edges(f, w)) add_delivery(*e);
       break;
     case fi::FaultKind::kFrameCorrupt: {
@@ -325,45 +323,6 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
   return atoms;
 }
 
-// --- Containment domain mirror ------------------------------------------------
-
-struct Domain {
-  bool everything = false;
-  std::set<std::string> instances;
-
-  [[nodiscard]] bool contains(const std::string& instance) const {
-    return everything || instances.count(instance) != 0;
-  }
-};
-
-Domain domain_of(const fi::Fault& f, const DeploymentPlan& plan) {
-  Domain d;
-  switch (f.kind) {
-    case fi::FaultKind::kFrameDrop:
-    case fi::FaultKind::kFrameCorrupt:
-    case fi::FaultKind::kFrameDelay:
-      d.everything = true;
-      break;
-    case fi::FaultKind::kBabblingIdiot:
-      break;  // the rogue node is not a component: empty domain
-    case fi::FaultKind::kValueCorrupt:
-    case fi::FaultKind::kStuckAt:
-      d.instances.insert(f.target.substr(0, f.target.find('.')));
-      break;
-    case fi::FaultKind::kTaskCrash:
-    case fi::FaultKind::kWcetOverrun:
-    case fi::FaultKind::kExecutionJitter:
-      d.instances.insert(f.target);
-      break;
-    case fi::FaultKind::kClockDrift:
-      for (const auto& [instance, dep] : plan.instances) {
-        if (dep.ecu == f.target) d.instances.insert(instance);
-      }
-      break;
-  }
-  return d;
-}
-
 FaultVerdict judge(const fi::Fault& f, const World& w,
                    const DeploymentPlan& plan,
                    const std::vector<Plane>& planes) {
@@ -372,7 +331,7 @@ FaultVerdict judge(const fi::Fault& f, const World& w,
   v.label = fault_label(f);
   const std::set<Atom> atoms = perturbation_of(f, w, plan);
   v.perturbs = !atoms.empty();
-  const Domain domain = domain_of(f, plan);
+  const fi::Domain domain = fi::domain_of(f, plan);
   bool any_in_domain = false;
   bool all_in_domain = true;
   for (const auto& p : planes) {
@@ -433,32 +392,11 @@ std::vector<fi::Fault> canonical_faults(const ContractMap& contracts,
 
 }  // namespace
 
-std::string_view to_string(MonitorPlane::Kind kind) {
-  switch (kind) {
-    case MonitorPlane::Kind::kArrival:
-      return "arrival";
-    case MonitorPlane::Kind::kDeadline:
-      return "deadline";
-    case MonitorPlane::Kind::kLatency:
-      return "latency";
-    case MonitorPlane::Kind::kRangeWrite:
-      return "range-write";
-    case MonitorPlane::Kind::kRangeDeliver:
-      return "range-deliver";
-    case MonitorPlane::Kind::kAutomaton:
-      return "automaton";
-    case MonitorPlane::Kind::kAlive:
-      return "alive";
-  }
-  return "?";
-}
-
 DetectabilityAnalysis analyze_detectability(
     const vfb::Composition& model, const vfb::DeploymentPlan& plan,
-    const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     const std::vector<fi::Fault>& faults) {
   DetectabilityAnalysis out;
-  const vfb::Lowering lowering = vfb::lower(model, plan, contracts);
+  const vfb::Lowering lowering = vfb::lower(model, plan);
   const World w(lowering);
   const std::vector<Plane> planes =
       plan.runtime_verification ? build_planes(w) : std::vector<Plane>{};

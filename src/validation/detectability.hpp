@@ -50,15 +50,12 @@ namespace orte::validation {
 /// from the lowered monitor inventory (vfb::Lowering::monitors), so the
 /// static blame is the runtime blame.
 struct MonitorPlane {
-  enum class Kind {
-    kArrival,       ///< Guarantee period — senses write *timing*.
-    kDeadline,      ///< Generated-task deadline — senses task timing.
-    kLatency,       ///< Assumption latency — senses delivery of an edge.
-    kRangeWrite,    ///< Guarantee range — senses the written *value*.
-    kRangeDeliver,  ///< Assumption range — senses the delivered value.
-    kAutomaton,     ///< Behaviour contract — senses write values/order.
-    kAlive,         ///< Watchdog alive supervision — senses write *absence*.
-  };
+  /// The inventory kind; it fixes what the plane senses: write timing
+  /// (arrival), task timing (deadline), delivery of an edge (latency), the
+  /// written or delivered value (range-write, range-deliver), write values
+  /// and order (automaton), write absence (alive). Rendered by
+  /// vfb::to_string.
+  using Kind = vfb::MonitorEntry::Kind;
   Kind kind = Kind::kArrival;
   /// Rendered observable the plane watches, e.g. "write-timing pedal.out.pos"
   /// or "delivery pedal.out.pos -> wheel_fl".
@@ -68,22 +65,22 @@ struct MonitorPlane {
   std::string blame;
 };
 
-[[nodiscard]] std::string_view to_string(MonitorPlane::Kind kind);
-
 /// Static verdict over one fault plane.
 struct FaultVerdict {
   fi::Fault fault;
   std::string label;    ///< "crash:pedal"-style scenario label.
   /// The fault perturbs at least one observable. False = structurally inert
-  /// (e.g. a babbling idiot on a TDMA bus): the campaign scores it missed,
-  /// but no V13 fires — there is nothing a monitor *could* have seen.
+  /// (a babbling idiot or a frame delay on a TDMA bus): the campaign scores
+  /// it missed, but no V13 fires — there is nothing a monitor *could* have
+  /// seen.
   bool perturbs = false;
   bool detectable = false;       ///< >= 1 monitor observes a perturbation.
   /// Detectable, but no observing monitor blames inside the fault's domain:
   /// detection can never score `contained` (V14).
   bool containment_gap = false;
-  /// Detectable and *every* observing monitor blames inside the domain —
-  /// the static prediction of the campaign's `contained` outcome.
+  /// Detectable and *every* observing monitor blames inside the domain
+  /// (fi::domain_of, the rule the campaign scores with) — the static
+  /// prediction of the campaign's `contained` outcome.
   bool contained = false;
   std::vector<MonitorPlane> observers;  ///< Planes that see the fault.
 };
@@ -94,12 +91,12 @@ struct DetectabilityAnalysis {
   std::vector<FaultVerdict> verdicts;  ///< One per input fault, in order.
 };
 
-/// Run the propagation analysis for an explicit fault list (the cross-check
-/// surface: bench_e13 and test_fi feed the standard campaign grid through
-/// this and compare each verdict against the measured outcome).
+/// Run the propagation analysis for an explicit fault list over the
+/// lowering of `model` (with its bound contracts) under `plan` — the
+/// cross-check surface: bench_e13 and test_fi feed the standard campaign
+/// grid through this and compare each verdict against the measured outcome.
 [[nodiscard]] DetectabilityAnalysis analyze_detectability(
     const vfb::Composition& model, const vfb::DeploymentPlan& plan,
-    const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     const std::vector<fi::Fault>& faults);
 
 /// V13–V15 over a canonical fault inventory derived from the model itself

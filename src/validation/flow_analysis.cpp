@@ -197,6 +197,13 @@ std::vector<ChainEdge> chain_edges(const vfb::Lowering& lowering) {
 ChainAnalysis analyze_chains(const vfb::Lowering& lowering,
                              const ContractMap& contracts) {
   ChainAnalysis out;
+  bool any = false;
+  for (const auto& [_, contract] : contracts) {
+    for (const auto& a : contract.assumptions) {
+      if (a.timing.latency > 0) any = true;
+    }
+  }
+  if (!any) return out;  // no latency assumption: nothing to bound
   const std::vector<ChainEdge> edges = chain_edges(lowering);
 
   // Periods must be derivable: chain heads carry their own, everything else
@@ -477,16 +484,7 @@ void check_flow_ranges(const vfb::Lowering& g, const ContractMap& contracts,
   }
 }
 
-void check_chain_deadlines(const vfb::Lowering& lowering,
-                           const ContractMap& contracts, Diagnostics& out) {
-  bool any = false;
-  for (const auto& [_, contract] : contracts) {
-    for (const auto& a : contract.assumptions) {
-      if (a.timing.latency > 0) any = true;
-    }
-  }
-  if (!any) return;
-  const ChainAnalysis chains = analyze_chains(lowering, contracts);
+void check_chain_deadlines(const ChainAnalysis& chains, Diagnostics& out) {
   for (const auto& b : chains.bounds) {
     const std::string subject = dot(b.instance, b.flow);
     if (!b.computable) {

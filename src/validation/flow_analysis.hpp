@@ -30,10 +30,10 @@
 //                                the local rule V3 stays silent).
 //
 // Every pass reads one vfb::Lowering of the model, the same derivation
-// vfb::System instantiates. analyze_chains() is shared with vfb::System so
-// the static V9 bound is recorded next to each LatencyMonitor threshold —
-// the bound >= observed cross-check that certifies the dynamic layer against
-// the static one.
+// vfb::System instantiates. vfb::System runs analyze_chains() once on its
+// lowering: the one result feeds V9 and is recorded next to each
+// LatencyMonitor threshold — the bound >= observed cross-check that
+// certifies the dynamic layer against the static one.
 #pragma once
 
 #include <map>
@@ -78,6 +78,8 @@ struct ChainAnalysis {
 /// same-ECU activation. Conservative where it simplifies: signals are
 /// analyzed unpacked, one 8-byte message per edge, and FlexRay slot counts
 /// grow with the message count (a longer cycle can only raise the bound).
+/// Without any latency assumption there is nothing to bound: the fixpoint
+/// is skipped and the result is empty (not schedulable, no bounds).
 [[nodiscard]] ChainAnalysis analyze_chains(
     const vfb::Lowering& lowering,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts);
@@ -90,13 +92,10 @@ void check_flow_ranges(
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     Diagnostics& out);
 
-/// V9: run analyze_chains and judge every latency assumption — error when
+/// V9: judge every latency assumption analyze_chains bounded — error when
 /// the obligation is below the static bound, info (with slack) otherwise,
 /// warning when the chain cannot be bounded.
-void check_chain_deadlines(
-    const vfb::Lowering& lowering,
-    const std::map<std::string, contracts::Contract, std::less<>>& contracts,
-    Diagnostics& out);
+void check_chain_deadlines(const ChainAnalysis& chains, Diagnostics& out);
 
 /// V10: cross-check contract obligations against the lowered flow
 /// resolution (an obligation whose flow resolves to nothing gets no

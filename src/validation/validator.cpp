@@ -1,8 +1,6 @@
 #include "validation/validator.hpp"
 
 #include "validation/detectability.hpp"
-#include "validation/flow_analysis.hpp"
-#include "vfb/lowering.hpp"
 
 #include <algorithm>
 #include <map>
@@ -59,19 +57,16 @@ std::string conn_subject(const Connector& c) {
          dot(c.to_instance, c.to_port);
 }
 
-
 /// One whole-model validation run; collects into `out`.
 class Pass {
  public:
-  Pass(const Composition& model, const DeploymentPlan* plan,
-       const std::map<std::string, contracts::Contract, std::less<>>& bound)
-      : model_(model), plan_(plan), contracts_(bound) {}
+  Pass(const Composition& model, const DeploymentPlan* plan)
+      : model_(model), plan_(plan), contracts_(model.bound_contracts()) {}
 
-  Diagnostics run() {
-    // The deployment as the generator would lower it; without a plan the
-    // model-only rules read the plan-free part (flows and dataflow).
-    const vfb::Lowering lowering = vfb::lower(
-        model_, plan_ != nullptr ? *plan_ : vfb::DeploymentPlan{}, contracts_);
+  /// Every rule over `lowering` (the deployment as the generator lowers it;
+  /// without a plan, its plan-free part: flows and dataflow). `chains` is
+  /// its chain analysis, read by V9; null without a plan.
+  Diagnostics run(const vfb::Lowering& lowering, const ChainAnalysis* chains) {
     check_type_references();       // V1/V2/V5 (type level)
     check_connectors();            // V1/V2 (connector level)
     check_connectivity(lowering);  // V3
@@ -88,7 +83,7 @@ class Pass {
       check_flow_ranges(lowering, contracts_, out_);              // V8/V12
       check_monitor_coverage(lowering, plan_, contracts_, out_);  // V10
       if (plan_ != nullptr) {
-        check_chain_deadlines(lowering, contracts_, out_);           // V9
+        check_chain_deadlines(*chains, out_);                        // V9
         check_resource_budgets(lowering, *plan_, contracts_, out_);  // V11
         check_detectability(lowering, *plan_, contracts_, out_);     // V13-V15
       }
@@ -704,36 +699,22 @@ class Pass {
 
 }  // namespace
 
-Validator& Validator::with_contract(std::string instance,
-                                    contracts::Contract contract) {
-  contracts_[std::move(instance)] = std::move(contract);
-  return *this;
-}
-
-Diagnostics Validator::run() const {
-  return Pass(*model_, plan_, contracts_).run();
-}
-
-namespace {
-/// Contracts bound directly on the model (Composition::bind_contract) feed
-/// rule V7, so both enforcement points — this static pass and the rv layer's
-/// online monitors — check the same specification.
-Validator with_model_contracts(Validator v, const vfb::Composition& model) {
-  for (const auto& [instance, contract] : model.bound_contracts()) {
-    v.with_contract(instance, contract);
-  }
-  return v;
-}
-}  // namespace
-
 Diagnostics validate(const vfb::Composition& model) {
-  return with_model_contracts(Validator(model), model).run();
+  return Pass(model, nullptr).run(vfb::lower(model, {}), nullptr);
 }
 
 Diagnostics validate(const vfb::Composition& model,
                      const vfb::DeploymentPlan& plan) {
-  return with_model_contracts(Validator(model).with_deployment(plan), model)
-      .run();
+  const vfb::Lowering lowering = vfb::lower(model, plan);
+  return validate_lowering(model, plan, lowering,
+                           analyze_chains(lowering, model.bound_contracts()));
+}
+
+Diagnostics validate_lowering(const vfb::Composition& model,
+                              const vfb::DeploymentPlan& plan,
+                              const vfb::Lowering& lowering,
+                              const ChainAnalysis& chains) {
+  return Pass(model, &plan).run(lowering, &chains);
 }
 
 }  // namespace orte::validation

@@ -1,11 +1,14 @@
-// Static model validator: whole-model analysis of a Composition (and
-// optionally a DeploymentPlan) *before* any runtime object is constructed.
+// Static model validator: whole-model analysis of a Composition, its bound
+// contracts and (optionally) a DeploymentPlan *before* any runtime object is
+// constructed.
 //
 // The paper's reliability argument (§2–§3) rests on design-time checks: the
 // AUTOSAR methodology validates the system configuration "prior to
 // implementation", and SPEEDS-style rich components add contract
 // compatibility on top. This pass reports every violation it finds as a
-// structured Diagnostic instead of throwing on the first one.
+// structured Diagnostic instead of throwing on the first one. The contracts
+// it checks are the ones Composition::bind_contract binds — the same ones
+// vfb::System compiles into monitors.
 //
 // Rule inventory (IDs are stable; DESIGN.md carries the full table):
 //  V1 dangling references  — names in instances, ports, accesses, triggers,
@@ -35,43 +38,31 @@
 //                            guarantee must imply sink assumption).
 #pragma once
 
-#include <map>
-#include <string>
-#include <string_view>
-
-#include "contracts/contract.hpp"
 #include "validation/diagnostics.hpp"
+#include "validation/flow_analysis.hpp"
 #include "vfb/deployment.hpp"
+#include "vfb/lowering.hpp"
 #include "vfb/model.hpp"
 
 namespace orte::validation {
 
-class Validator {
- public:
-  explicit Validator(const vfb::Composition& model) : model_(&model) {}
-
-  /// Enable the deployment-dependent rules (V4 races, parts of V1/V2/V5).
-  Validator& with_deployment(const vfb::DeploymentPlan& plan) {
-    plan_ = &plan;
-    return *this;
-  }
-
-  /// Bind a rich-component contract to an instance for rule V7. Flow names
-  /// must be "port" (covers every element of the port) or "port.element".
-  Validator& with_contract(std::string instance, contracts::Contract contract);
-
-  /// Run every applicable rule; never throws on model defects.
-  [[nodiscard]] Diagnostics run() const;
-
- private:
-  const vfb::Composition* model_;
-  const vfb::DeploymentPlan* plan_ = nullptr;
-  std::map<std::string, contracts::Contract, std::less<>> contracts_;
-};
-
-/// Convenience wrappers.
+/// Run every model-level rule (no deployment: V4, V9, V11 and V13–V15 and
+/// the plan-level parts of V1/V2/V5 stay silent); never throws on model
+/// defects.
 [[nodiscard]] Diagnostics validate(const vfb::Composition& model);
+
+/// Run every rule over `model` deployed under `plan`: lowers the model once
+/// and calls validate_lowering on that lowering.
 [[nodiscard]] Diagnostics validate(const vfb::Composition& model,
                                    const vfb::DeploymentPlan& plan);
+
+/// The rules of validate(model, plan) over a lowering the caller already
+/// holds: `lowering` is vfb::lower(model, plan) and `chains` is
+/// analyze_chains(lowering, model.bound_contracts()). vfb::System passes the
+/// lowering it instantiates, so it builds exactly what it validated.
+[[nodiscard]] Diagnostics validate_lowering(const vfb::Composition& model,
+                                            const vfb::DeploymentPlan& plan,
+                                            const vfb::Lowering& lowering,
+                                            const ChainAnalysis& chains);
 
 }  // namespace orte::validation

@@ -3,10 +3,10 @@
 // A DeploymentPlan assigns component instances to ECUs, picks the backbone
 // bus and scheduling policy, and attaches timing-isolation attributes
 // (budgets, partitions). vfb::lower() turns Composition + plan into the
-// deployment (tasks, frames, flows, monitors); vfb::System instantiates
-// that lowering and validation::Validator analyses the same one. Keeping
-// the plan free of generator state lets the validator run without
-// constructing any runtime object.
+// deployment (tasks, frames, flows, monitors); vfb::System validates and
+// instantiates that lowering, and validation::validate analyses the same
+// one. Keeping the plan free of generator state lets the validator run
+// without constructing any runtime object.
 #pragma once
 
 #include <cstdint>

@@ -26,9 +26,8 @@ struct Inst {
 /// The single walk behind lower().
 class Lowerer {
  public:
-  Lowerer(const Composition& model, const DeploymentPlan& plan,
-          const ContractMap& contracts)
-      : model_(model), plan_(plan), contracts_(contracts) {}
+  Lowerer(const Composition& model, const DeploymentPlan& plan)
+      : model_(model), plan_(plan), contracts_(model.bound_contracts()) {}
 
   Lowering run() {
     std::size_t runnables = 0;
@@ -567,10 +566,28 @@ const ResolvedFlow& Lowering::flow(std::string_view instance,
   return fit == it->second.end() ? kUnresolved : fit->second;
 }
 
-Lowering lower(const Composition& model, const DeploymentPlan& plan,
-               const std::map<std::string, contracts::Contract, std::less<>>&
-                   contracts) {
-  return Lowerer(model, plan, contracts).run();
+Lowering lower(const Composition& model, const DeploymentPlan& plan) {
+  return Lowerer(model, plan).run();
+}
+
+std::string_view to_string(MonitorEntry::Kind kind) {
+  switch (kind) {
+    case MonitorEntry::Kind::kDeadline:
+      return "deadline";
+    case MonitorEntry::Kind::kArrival:
+      return "arrival";
+    case MonitorEntry::Kind::kRangeWrite:
+      return "range-write";
+    case MonitorEntry::Kind::kRangeDeliver:
+      return "range-deliver";
+    case MonitorEntry::Kind::kLatency:
+      return "latency";
+    case MonitorEntry::Kind::kAutomaton:
+      return "automaton";
+    case MonitorEntry::Kind::kAlive:
+      return "alive";
+  }
+  return "?";
 }
 
 bool key_matches(std::string_view target, std::string_view key) {

@@ -1,4 +1,5 @@
-// Lowering: Composition + DeploymentPlan + contracts -> plain deployment data.
+// Lowering: Composition (with its bound contracts) + DeploymentPlan -> plain
+// deployment data.
 //
 // The paper's §2 RTE generator works like a compiler: one configuration
 // (components plus their ECU mapping) yields every artifact. lower() is that
@@ -6,10 +7,11 @@
 // one consumer needs — the generated tasks and writer tasks, the signals,
 // PDUs and routes with the effective bus configuration, the slot dataflow,
 // every resolved contract flow, and the monitor inventory with the instance
-// each monitor blames. vfb::System instantiates it; the validator (V2–V5,
-// V7–V15), the detectability analysis and the fault injector read it.
-// lower() never throws: validation runs it on malformed models, so whatever
-// does not resolve is skipped and recorded in `problems`.
+// each monitor blames. vfb::System lowers once, validates that lowering and
+// instantiates it; the validator (V2–V5, V7–V15), the detectability analysis
+// and the fault injector read it. lower() never throws: validation runs it
+// on malformed models, so whatever does not resolve is skipped and recorded
+// in `problems`.
 #pragma once
 
 #include <cstdint>
@@ -215,12 +217,13 @@ struct Lowering {
                                          std::string_view flow) const;
 };
 
-/// Derive the deployment of `model` under `plan`; `contracts` drives flow
-/// resolution and the monitor inventory (vfb::System passes the model's
-/// bound contracts, the validator its own map).
-[[nodiscard]] Lowering lower(
-    const Composition& model, const DeploymentPlan& plan,
-    const std::map<std::string, contracts::Contract, std::less<>>& contracts);
+/// Derive the deployment of `model` under `plan`; the model's bound
+/// contracts drive flow resolution and the monitor inventory.
+[[nodiscard]] Lowering lower(const Composition& model,
+                             const DeploymentPlan& plan);
+
+/// Rendered monitor kind: "deadline", "arrival", "range-write", ...
+[[nodiscard]] std::string_view to_string(MonitorEntry::Kind kind);
 
 /// Value-fault target match: the exact sender key, or a prefix of it ending
 /// before a '.' ("pedal" matches "pedal.out.pos", not "pedal2.out.pos").

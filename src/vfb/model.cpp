@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "validation/validator.hpp"
-
 namespace orte::vfb {
 
 namespace {
@@ -120,13 +118,6 @@ const ComponentInstance* Composition::find_instance(
     if (i.name == name) return &i;
   }
   return nullptr;
-}
-
-void Composition::validate() const {
-  const auto report = validation::validate(*this);
-  if (report.has_errors()) {
-    fail("model validation failed\n" + report.render());
-  }
 }
 
 }  // namespace orte::vfb

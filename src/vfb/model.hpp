@@ -161,16 +161,12 @@ class Composition {
 
   /// Bind a rich-component contract (§3) to an instance. Flow names follow
   /// the validator convention: "port" (every element of the port) or
-  /// "port.element". Bound contracts are checked statically (validator rule
-  /// V7 on every connector) AND compiled into online monitors by
-  /// vfb::System / rv::MonitorRegistry — one specification, two enforcement
-  /// points. Re-binding an instance replaces its contract.
+  /// "port.element". The bound contracts are the only contracts there are:
+  /// validation::validate checks them statically (V7–V15) AND vfb::System
+  /// compiles them into online monitors / rv::MonitorRegistry — one
+  /// specification, two enforcement points. Re-binding an instance replaces
+  /// its contract.
   void bind_contract(std::string instance, contracts::Contract contract);
-
-  /// Structural validation via validation::Validator (model-only rules).
-  /// Throws std::invalid_argument carrying the full rendered report when any
-  /// error-severity diagnostic is found; warnings and infos are tolerated.
-  void validate() const;
 
   // --- Lookups (throw on unknown names) ------------------------------------
   const ComponentInstance& instance(std::string_view name) const;

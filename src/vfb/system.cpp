@@ -26,23 +26,31 @@ System::EcuCtx& System::ctx(const std::string& ecu_name) {
 }
 
 void System::build() {
+  // One lowering: the deployment the rules judge is the one instantiated
+  // below. Static end-to-end bounds (holistic fixpoint over its chains) are
+  // computed once: V9 judges them, build_monitors stamps them into each
+  // LatencySpec and analyze() reports them next to the task/PDU responses.
+  Lowering lowering = lower(model_, plan_);
+  validation::ChainAnalysis chains =
+      validation::analyze_chains(lowering, model_.bound_contracts());
   // Strict-mode static validation: the full rule set runs over the model
   // *and* the deployment plan before any runtime object exists. Any
   // error-severity diagnostic aborts generation with the complete rendered
-  // report; warnings (e.g. V4 race hazards) and infos are tolerated here and
-  // can be inspected via validation::validate(model, plan) directly.
-  const validation::Diagnostics report = validation::validate(model_, plan_);
-  if (report.has_errors()) {
+  // report — the one validation::validate(model, plan) returns; warnings
+  // (e.g. V4 race hazards) and infos are tolerated here.
+  if (const validation::Diagnostics report =
+          validation::validate_lowering(model_, plan_, lowering, chains);
+      report.has_errors()) {
     throw std::invalid_argument("System: model validation failed\n" +
                                 report.render());
   }
-  Lowering lowering = lower(model_, plan_, model_.bound_contracts());
   if (!lowering.problems.empty()) {
     // The validator rejects everything lower() skips, so reaching this is
     // a validator gap, not a user error.
     throw std::logic_error("internal: " + lowering.problems.front().message +
                            " escaped validation");
   }
+  chain_bounds_ = std::move(chains.bounds);
   ecu_names_ = lowering.ecus;
   plan_.flexray = lowering.flexray;
   signal_count_ = lowering.signals.size();
@@ -51,13 +59,6 @@ void System::build() {
     written.insert(io.writes.begin(), io.writes.end());
   }
   written_keys_.assign(written.begin(), written.end());
-  // Static end-to-end bounds (holistic fixpoint over the generated chains),
-  // computed once: build_monitors stamps them into each LatencySpec and
-  // analyze() reports them next to the task/PDU responses.
-  if (!model_.bound_contracts().empty()) {
-    chain_bounds_ =
-        validation::analyze_chains(lowering, model_.bound_contracts()).bounds;
-  }
   // Instantiation reads only tasks, frames, routes and monitors: free the
   // dataflow and flow resolution now (exchanging, since assigning {} keeps
   // a vector's capacity), so the runtime objects reuse their memory.

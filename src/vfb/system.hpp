@@ -3,7 +3,9 @@
 // This is the AUTOSAR methodology step the paper describes ("all subsequent
 // development steps up to the generation of executable code"). vfb::lower()
 // derives the deployment from the VFB model and the mapping of component
-// instances to ECUs; System instantiates it:
+// instances to ECUs. System lowers once, runs every validation rule over
+// that lowering (strict mode: an error throws the report
+// validation::validate(model, plan) renders) and instantiates it:
 //  * the generated OS tasks (one per (instance, period) for timing runnables
 //    at rate-monotonic priorities per ECU, one event task per data-received
 //    runnable) with the plan's timing-isolation attributes (budgets,
@@ -78,8 +80,10 @@ class System {
   [[nodiscard]] bsw::Com& com(const std::string& ecu_name);
   [[nodiscard]] os::Task* task_of(const std::string& instance,
                                   sim::Duration period);
-  [[nodiscard]] can::CanBus* can_bus() { return can_.get(); }
-  [[nodiscard]] flexray::FlexRayBus* flexray_bus() { return flexray_.get(); }
+  [[nodiscard]] can::CanBus* can_bus() const { return can_.get(); }
+  [[nodiscard]] flexray::FlexRayBus* flexray_bus() const {
+    return flexray_.get();
+  }
   [[nodiscard]] const std::vector<std::string>& ecu_names() const {
     return ecu_names_;
   }
@@ -169,8 +173,8 @@ class System {
   std::vector<LoweredTask> tasks_;
   std::vector<LoweredPdu> pdus_;
   std::vector<std::string> written_keys_;
-  /// Holistic end-to-end bounds, one per contract latency assumption
-  /// (validation::analyze_chains over the generated deployment).
+  /// Holistic end-to-end bounds, one per contract latency assumption: the
+  /// validation::analyze_chains result V9 judged at construction.
   std::vector<validation::ChainBound> chain_bounds_;
 };
 

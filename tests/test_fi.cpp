@@ -209,10 +209,12 @@ TEST(FiInjector, CrashSwallowsWritesPermanently) {
 
 // --- Fault targets resolve or are rejected ------------------------------------
 
-/// Install `fault` on a fresh brake_by_wire system; returns the rejection
-/// message, or "" when the target resolved.
-std::string rejection_of(const Fault& fault) {
+/// Install `fault` on a fresh brake_by_wire system (FlexRay unless `bus`
+/// says otherwise); returns the rejection message, or "" when it installed.
+std::string rejection_of(const Fault& fault,
+                         vfb::BusKind bus = vfb::BusKind::kFlexRay) {
   fi::ModelBundle bundle = fi::workloads::brake_by_wire();
+  bundle.plan.bus = bus;
   sim::Kernel kernel;
   sim::Trace trace;
   vfb::System sys(kernel, trace, bundle.model, bundle.plan);
@@ -309,6 +311,64 @@ TEST(FiTargets, ClockDriftNeedsAnEcu) {
             "");
   expect_rejected({.kind = FaultKind::kClockDrift, .target = "pedal-ecu"},
                   "fl_ecu, fr_ecu, pedal_ecu, rl_ecu, rr_ecu");
+}
+
+// --- Fault parameters that would throw inside a job or never act -----------
+
+TEST(FiTargets, ExecutionJitterMagnitudeMustLieInZeroToOne) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kExecutionJitter,
+                          .target = "pedal",
+                          .magnitude = 0.9}),
+            "");
+  // Fault's default magnitude (2.0) would make isolation::jittery_wcet
+  // throw inside the first job.
+  EXPECT_NE(rejection_of({.kind = FaultKind::kExecutionJitter,
+                          .target = "pedal"})
+                .find("magnitude 2 is outside [0, 1]"),
+            std::string::npos);
+  EXPECT_NE(rejection_of({.kind = FaultKind::kExecutionJitter,
+                          .target = "pedal",
+                          .magnitude = -0.1}),
+            "");
+}
+
+TEST(FiTargets, WcetOverrunMagnitudeMustBeAtLeastOne) {
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kWcetOverrun,
+                          .target = "pedal",
+                          .magnitude = 1.0}),
+            "");
+  EXPECT_NE(rejection_of({.kind = FaultKind::kWcetOverrun,
+                          .target = "pedal",
+                          .magnitude = 0.5})
+                .find("magnitude 0.5 is below 1"),
+            std::string::npos);
+}
+
+TEST(FiTargets, FrameDelayIsRejectedOnFlexRayWhateverItsTarget) {
+  // The static slots pin frame timing, so the delay could never act; an
+  // empty target (every frame) is rejected too.
+  for (const char* target : {"", "pdu|"}) {
+    EXPECT_NE(rejection_of({.kind = FaultKind::kFrameDelay,
+                            .target = target,
+                            .delay = milliseconds(4)})
+                  .find("FlexRay bus ignores frame delays"),
+              std::string::npos)
+        << '"' << target << '"';
+  }
+  EXPECT_EQ(rejection_of({.kind = FaultKind::kFrameDelay,
+                          .delay = milliseconds(4)},
+                         vfb::BusKind::kCan),
+            "");
+}
+
+TEST(FiTargets, CampaignRejectsABadParameterBeforeAnyWorkerStarts) {
+  // Unchecked, the jitter magnitude throws inside a job on a worker thread
+  // and the process terminates.
+  fi::CampaignConfig cfg;
+  cfg.threads = 2;
+  fi::Campaign campaign([] { return fi::workloads::brake_by_wire(); }, cfg);
+  campaign.add_fault({.kind = FaultKind::kExecutionJitter, .target = "pedal"});
+  EXPECT_THROW((void)campaign.run(), std::invalid_argument);
 }
 
 TEST(FiTargets, CampaignRejectsABadTargetBeforeAnyScenarioRuns) {
@@ -408,7 +468,7 @@ TEST(FiCrossCheck, StaticVerdictsPredictCampaignOutcomes) {
       Fault{.kind = FaultKind::kFrameCorrupt, .target = "pedal_ecu"});
 
   const auto analysis = orte::validation::analyze_detectability(
-      bundle.model, bundle.plan, bundle.model.bound_contracts(), faults);
+      bundle.model, bundle.plan, faults);
   ASSERT_EQ(analysis.verdicts.size(), faults.size());
 
   fi::CampaignConfig cfg;
@@ -471,7 +531,7 @@ TEST(FiCrossCheck, AliveSupervisionDetectsAndContainsTheCrash) {
   // And the static analysis agrees on the supervised bundle.
   const fi::ModelBundle bundle = fi::workloads::brake_by_wire(true);
   const auto analysis = orte::validation::analyze_detectability(
-      bundle.model, bundle.plan, bundle.model.bound_contracts(),
+      bundle.model, bundle.plan,
       {Fault{.kind = FaultKind::kTaskCrash, .target = "pedal"}});
   ASSERT_EQ(analysis.verdicts.size(), 1u);
   EXPECT_TRUE(analysis.verdicts.front().detectable);

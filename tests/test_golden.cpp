@@ -370,7 +370,7 @@ std::string render_analysis(const vfb::SystemAnalysis& a) {
 }
 
 std::string render_plane(const validation::MonitorPlane& p) {
-  return std::string(validation::to_string(p.kind)) + " | " + p.observable +
+  return std::string(vfb::to_string(p.kind)) + " | " + p.observable +
          " | " + p.blame;
 }
 
@@ -398,7 +398,7 @@ StaticDigests static_digests(const vfb::Composition& model,
   const vfb::System sys(kernel, trace, model, plan);
   d.analysis = digest_of(render_analysis(sys.analyze()));
   d.detectability = digest_of(render_detectability(
-      validation::analyze_detectability(model, plan, model.bound_contracts(),
+      validation::analyze_detectability(model, plan,
                                         fi::workloads::standard_faults())));
   return d;
 }

@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/can_analysis.hpp"
@@ -744,9 +746,16 @@ TEST_P(ValidatorCompleteness, RejectedModelIsRejectedByStrictConstruction) {
   Kernel kernel;
   Trace trace;
   trace.enable_retention(false);
-  EXPECT_THROW(vfb::System(kernel, trace, m.comp, m.plan),
-               std::invalid_argument)
-      << "seed=" << GetParam();
+  // Strict construction validates the one lowering it instantiates; its
+  // verdict is exactly the report validate(model, plan) renders.
+  try {
+    vfb::System sys(kernel, trace, m.comp, m.plan);
+    ADD_FAILURE() << "construction should have thrown, seed=" << GetParam();
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "System: model validation failed\n" + report.render())
+        << "seed=" << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ValidatorCompleteness,

@@ -34,7 +34,6 @@ using orte::sim::Trace;
 using orte::sim::milliseconds;
 using orte::validation::Diagnostics;
 using orte::validation::Severity;
-using orte::validation::Validator;
 
 PortInterface value_interface(std::string name) {
   PortInterface i;
@@ -466,32 +465,28 @@ TEST(ValidatorV6, AcyclicCallChainPasses) {
 // --- V7: contract compatibility -------------------------------------------------
 
 TEST(ValidatorV7, IncompatibleContractsFlagged) {
-  const Composition c = pipeline(DataAccessKind::kImplicitWrite,
-                                 DataAccessKind::kImplicitRead);
+  Composition c = pipeline(DataAccessKind::kImplicitWrite,
+                           DataAccessKind::kImplicitRead);
   Contract producer{.name = "CProd"};
   producer.guarantees.push_back(
       FlowSpec{.flow = "out.val", .range = Interval{0, 100}});
   Contract consumer{.name = "CCons"};
   consumer.assumptions.push_back(
       FlowSpec{.flow = "in.val", .range = Interval{0, 50}});
-  const Diagnostics d = Validator(c)
-                            .with_contract("p", producer)
-                            .with_contract("k", consumer)
-                            .run();
+  c.bind_contract("p", producer);
+  c.bind_contract("k", consumer);
+  const Diagnostics d = orte::validation::validate(c);
   const auto v7 = d.by_rule("V7");
   ASSERT_FALSE(v7.empty());
   EXPECT_EQ(v7.front()->severity, Severity::kError);
   EXPECT_NE(v7.front()->message.find("CProd"), std::string::npos);
 
-  // Widening the assumption restores compatibility.
+  // Widening the assumption restores compatibility (re-binding replaces).
   Contract tolerant{.name = "CCons"};
   tolerant.assumptions.push_back(
       FlowSpec{.flow = "in.val", .range = Interval{-1000, 1000}});
-  EXPECT_FALSE(has_rule(Validator(c)
-                            .with_contract("p", producer)
-                            .with_contract("k", tolerant)
-                            .run(),
-                        "V7"));
+  c.bind_contract("k", tolerant);
+  EXPECT_FALSE(has_rule(orte::validation::validate(c), "V7"));
 }
 
 // --- Strict mode ----------------------------------------------------------------
@@ -514,6 +509,10 @@ TEST(ValidatorStrict, SystemConstructionRendersTheFullReport) {
     EXPECT_NE(msg.find("NoSuchType"), std::string::npos);
     EXPECT_NE(msg.find("no deployment for instance ghost"),
               std::string::npos);
+    // Strict construction validates the lowering it instantiates; its
+    // report is exactly the one validate(model, plan) renders.
+    EXPECT_EQ(msg, "System: model validation failed\n" +
+                       orte::validation::validate(c, plan).render());
   }
 }
 
@@ -565,10 +564,10 @@ TEST(ValidatorV8, TransitiveEmptyIntersectionIsAnError) {
   Contract consumer{.name = "CCons"};
   consumer.assumptions.push_back(
       FlowSpec{.flow = "in.val", .range = Interval{200, 300}});
-  const Diagnostics d = Validator(relay_chain())
-                            .with_contract("p", producer)
-                            .with_contract("k", consumer)
-                            .run();
+  Composition c = relay_chain();
+  c.bind_contract("p", producer);
+  c.bind_contract("k", consumer);
+  const Diagnostics d = orte::validation::validate(c);
   // The uncontracted relay hides this from the pairwise check...
   EXPECT_FALSE(has_rule(d, "V7"));
   // ...but the interval propagation sees [0,100] meet [200,300] = empty.
@@ -585,8 +584,9 @@ TEST(ValidatorV8, UnconstrainedTransitiveSourceWarns) {
   Contract consumer{.name = "CCons"};
   consumer.assumptions.push_back(
       FlowSpec{.flow = "in.val", .range = Interval{200, 300}});
-  const Diagnostics d =
-      Validator(relay_chain()).with_contract("k", consumer).run();
+  Composition c = relay_chain();
+  c.bind_contract("k", consumer);
+  const Diagnostics d = orte::validation::validate(c);
   const auto v8 = d.by_rule("V8");
   ASSERT_FALSE(v8.empty());
   EXPECT_EQ(v8.front()->severity, Severity::kWarning);
@@ -600,10 +600,10 @@ TEST(ValidatorV8, ContainedTransitiveRangePassesClean) {
   Contract consumer{.name = "CCons"};
   consumer.assumptions.push_back(
       FlowSpec{.flow = "in.val", .range = Interval{-10, 500}});
-  const Diagnostics d = Validator(relay_chain())
-                            .with_contract("p", producer)
-                            .with_contract("k", consumer)
-                            .run();
+  Composition c = relay_chain();
+  c.bind_contract("p", producer);
+  c.bind_contract("k", consumer);
+  const Diagnostics d = orte::validation::validate(c);
   EXPECT_FALSE(has_rule(d, "V8")) << d.render();
 }
 
@@ -644,10 +644,9 @@ TEST(ValidatorV9, DeadlineBelowStaticBoundIsAnError) {
   Contract consumer{.name = "CCons"};
   consumer.assumptions.push_back(FlowSpec{
       .flow = "in.val", .timing = {.latency = orte::sim::microseconds(1)}});
-  const Diagnostics d = Validator(event_chain())
-                            .with_deployment(cross_ecu_plan())
-                            .with_contract("k", consumer)
-                            .run();
+  Composition c = event_chain();
+  c.bind_contract("k", consumer);
+  const Diagnostics d = orte::validation::validate(c, cross_ecu_plan());
   const auto v9 = d.by_rule("V9");
   ASSERT_FALSE(v9.empty());
   EXPECT_EQ(v9.front()->severity, Severity::kError);
@@ -658,10 +657,9 @@ TEST(ValidatorV9, GenerousDeadlineReportsSlackNotError) {
   Contract consumer{.name = "CCons"};
   consumer.assumptions.push_back(FlowSpec{
       .flow = "in.val", .timing = {.latency = orte::sim::seconds(1)}});
-  const Diagnostics d = Validator(event_chain())
-                            .with_deployment(cross_ecu_plan())
-                            .with_contract("k", consumer)
-                            .run();
+  Composition c = event_chain();
+  c.bind_contract("k", consumer);
+  const Diagnostics d = orte::validation::validate(c, cross_ecu_plan());
   const auto v9 = d.by_rule("V9");
   ASSERT_FALSE(v9.empty());
   EXPECT_EQ(v9.front()->severity, Severity::kInfo);
@@ -672,12 +670,13 @@ TEST(ValidatorV9, GenerousDeadlineReportsSlackNotError) {
 // --- V10: monitor coverage -------------------------------------------------------
 
 TEST(ValidatorV10, UnresolvableLatencyAssumptionWarns) {
-  const Composition c = pipeline(DataAccessKind::kImplicitWrite,
-                                 DataAccessKind::kImplicitRead);
+  Composition c = pipeline(DataAccessKind::kImplicitWrite,
+                           DataAccessKind::kImplicitRead);
   Contract consumer{.name = "CCons"};
   consumer.assumptions.push_back(FlowSpec{
       .flow = "nosuch.val", .timing = {.latency = milliseconds(1)}});
-  const Diagnostics d = Validator(c).with_contract("k", consumer).run();
+  c.bind_contract("k", consumer);
+  const Diagnostics d = orte::validation::validate(c);
   const auto v10 = d.by_rule("V10");
   ASSERT_FALSE(v10.empty());
   EXPECT_EQ(v10.front()->severity, Severity::kWarning);
@@ -685,15 +684,15 @@ TEST(ValidatorV10, UnresolvableLatencyAssumptionWarns) {
 }
 
 TEST(ValidatorV10, DisabledRuntimeVerificationWithObligationsWarns) {
-  const Composition c = pipeline(DataAccessKind::kImplicitWrite,
-                                 DataAccessKind::kImplicitRead);
+  Composition c = pipeline(DataAccessKind::kImplicitWrite,
+                           DataAccessKind::kImplicitRead);
   Contract consumer{.name = "CCons"};
   consumer.assumptions.push_back(FlowSpec{
       .flow = "in.val", .timing = {.latency = orte::sim::seconds(1)}});
+  c.bind_contract("k", consumer);
   DeploymentPlan plan = same_ecu_plan();
   plan.runtime_verification = false;
-  const Diagnostics d =
-      Validator(c).with_deployment(plan).with_contract("k", consumer).run();
+  const Diagnostics d = orte::validation::validate(c, plan);
   bool global = false;
   for (const auto* diag : d.by_rule("V10")) {
     if (diag->subject == "deployment") global = true;
@@ -702,33 +701,29 @@ TEST(ValidatorV10, DisabledRuntimeVerificationWithObligationsWarns) {
 }
 
 TEST(ValidatorV10, ResolvableAssumptionIsCovered) {
-  const Composition c = pipeline(DataAccessKind::kImplicitWrite,
-                                 DataAccessKind::kImplicitRead);
+  Composition c = pipeline(DataAccessKind::kImplicitWrite,
+                           DataAccessKind::kImplicitRead);
   Contract consumer{.name = "CCons"};
   consumer.assumptions.push_back(FlowSpec{
       .flow = "in.val", .timing = {.latency = orte::sim::seconds(1)}});
+  c.bind_contract("k", consumer);
   // runtime_verification defaults to on; the feeding connector resolves.
-  const Diagnostics d = Validator(c)
-                            .with_deployment(same_ecu_plan())
-                            .with_contract("k", consumer)
-                            .run();
+  const Diagnostics d = orte::validation::validate(c, same_ecu_plan());
   EXPECT_FALSE(has_rule(d, "V10")) << d.render();
 }
 
 // --- V11: resource budgets -------------------------------------------------------
 
 TEST(ValidatorV11, OversubscribedEcuIsAnError) {
-  const Composition c = pipeline(DataAccessKind::kImplicitWrite,
-                                 DataAccessKind::kImplicitRead);
+  Composition c = pipeline(DataAccessKind::kImplicitWrite,
+                           DataAccessKind::kImplicitRead);
   Contract cp{.name = "CProd"};
   cp.vertical.cpu_utilization = 0.6;
   Contract ck{.name = "CCons"};
   ck.vertical.cpu_utilization = 0.6;
-  const Diagnostics d = Validator(c)
-                            .with_deployment(same_ecu_plan())
-                            .with_contract("p", cp)
-                            .with_contract("k", ck)
-                            .run();
+  c.bind_contract("p", cp);
+  c.bind_contract("k", ck);
+  const Diagnostics d = orte::validation::validate(c, same_ecu_plan());
   const auto v11 = d.by_rule("V11");
   ASSERT_FALSE(v11.empty());
   EXPECT_EQ(v11.front()->severity, Severity::kError);
@@ -749,8 +744,8 @@ TEST(ValidatorV11, GeneratedLoadAboveDeclaredBudgetWarns) {
   plan.instances["p"] = {.ecu = "E"};
   Contract cp{.name = "CProd"};
   cp.vertical.cpu_utilization = 0.1;  // declares far less than it generates
-  const Diagnostics d =
-      Validator(c).with_deployment(plan).with_contract("p", cp).run();
+  c.bind_contract("p", cp);
+  const Diagnostics d = orte::validation::validate(c, plan);
   const auto v11 = d.by_rule("V11");
   ASSERT_FALSE(v11.empty());
   EXPECT_EQ(v11.front()->severity, Severity::kWarning);
@@ -758,17 +753,15 @@ TEST(ValidatorV11, GeneratedLoadAboveDeclaredBudgetWarns) {
 }
 
 TEST(ValidatorV11, BudgetsWithinDeclarationPassClean) {
-  const Composition c = pipeline(DataAccessKind::kImplicitWrite,
-                                 DataAccessKind::kImplicitRead);
+  Composition c = pipeline(DataAccessKind::kImplicitWrite,
+                           DataAccessKind::kImplicitRead);
   Contract cp{.name = "CProd"};
   cp.vertical.cpu_utilization = 0.3;
   Contract ck{.name = "CCons"};
   ck.vertical.cpu_utilization = 0.3;
-  const Diagnostics d = Validator(c)
-                            .with_deployment(same_ecu_plan())
-                            .with_contract("p", cp)
-                            .with_contract("k", ck)
-                            .run();
+  c.bind_contract("p", cp);
+  c.bind_contract("k", ck);
+  const Diagnostics d = orte::validation::validate(c, same_ecu_plan());
   EXPECT_FALSE(has_rule(d, "V11")) << d.render();
 }
 
@@ -795,8 +788,8 @@ TEST(ValidatorV12, RelayWithoutAutonomousSourceIsDeadFlow) {
   c.add_instance({"k", "Consumer"});
   c.add_connector({"r", "out", "k", "in"});
   // Any bound contract enables the whole-program pass.
-  const Diagnostics d =
-      Validator(c).with_contract("k", Contract{.name = "C0"}).run();
+  c.bind_contract("k", Contract{.name = "C0"});
+  const Diagnostics d = orte::validation::validate(c);
   const auto v12 = d.by_rule("V12");
   ASSERT_FALSE(v12.empty());
   EXPECT_EQ(v12.front()->severity, Severity::kWarning);
@@ -823,8 +816,8 @@ TEST(ValidatorV12, UnconsumedRelayedWriteIsReportedAsInfo) {
   c2.add_instance({"p", "Producer"});
   c2.add_instance({"r", "Relay"});
   c2.add_connector({"p", "out", "r", "in"});
-  const Diagnostics d =
-      Validator(c2).with_contract("r", Contract{.name = "C0"}).run();
+  c2.bind_contract("r", Contract{.name = "C0"});
+  const Diagnostics d = orte::validation::validate(c2);
   const auto v12 = d.by_rule("V12");
   ASSERT_FALSE(v12.empty());
   EXPECT_EQ(v12.front()->severity, Severity::kInfo);
@@ -832,9 +825,9 @@ TEST(ValidatorV12, UnconsumedRelayedWriteIsReportedAsInfo) {
 }
 
 TEST(ValidatorV12, AutonomousSourceMakesChainLive) {
-  const Diagnostics d = Validator(relay_chain())
-                            .with_contract("k", Contract{.name = "C0"})
-                            .run();
+  Composition c = relay_chain();
+  c.bind_contract("k", Contract{.name = "C0"});
+  const Diagnostics d = orte::validation::validate(c);
   EXPECT_FALSE(has_rule(d, "V12")) << d.render();
 }
 
@@ -908,11 +901,7 @@ TEST(ValidatorV15, SilentWithoutAPlanOrWithRvDisabled) {
   const auto bundle = orte::fi::workloads::brake_by_wire();
   // No deployment plan: the detectability pass has no monitor inventory to
   // reason about, so none of V13-V15 may fire.
-  Validator v(bundle.model);
-  for (const auto& [instance, contract] : bundle.model.bound_contracts()) {
-    v.with_contract(instance, contract);
-  }
-  const Diagnostics no_plan = v.run();
+  const Diagnostics no_plan = orte::validation::validate(bundle.model);
   EXPECT_FALSE(has_rule(no_plan, "V13"));
   EXPECT_FALSE(has_rule(no_plan, "V15"));
 
@@ -930,7 +919,7 @@ TEST(Detectability, StuckAtIsObservedByBothRangePlanesAndContained) {
        .target = "pedal.out.pos",
        .value = 4000}};
   const auto analysis = orte::validation::analyze_detectability(
-      bundle.model, bundle.plan, bundle.model.bound_contracts(), faults);
+      bundle.model, bundle.plan, faults);
   ASSERT_EQ(analysis.verdicts.size(), 1u);
   const auto& v = analysis.verdicts.front();
   EXPECT_TRUE(v.perturbs);
@@ -948,6 +937,27 @@ TEST(Detectability, StuckAtIsObservedByBothRangePlanesAndContained) {
   }
   EXPECT_TRUE(saw_write);
   EXPECT_TRUE(saw_deliver);
+}
+
+TEST(Detectability, FrameDelayOnFlexRayPerturbsNothing) {
+  // The static slots pin frame timing: FlexRay ignores the delay, so the
+  // fault is inert (the campaign could only score it missed), like the
+  // babbler there.
+  const auto bundle = orte::fi::workloads::brake_by_wire();
+  ASSERT_EQ(bundle.plan.bus, BusKind::kFlexRay);
+  const std::vector<orte::fi::Fault> faults = {
+      {.kind = orte::fi::FaultKind::kFrameDelay, .delay = milliseconds(4)},
+      {.kind = orte::fi::FaultKind::kFrameDelay,
+       .target = "pdu|",
+       .delay = milliseconds(4)}};
+  const auto analysis = orte::validation::analyze_detectability(
+      bundle.model, bundle.plan, faults);
+  ASSERT_EQ(analysis.verdicts.size(), 2u);
+  for (const auto& v : analysis.verdicts) {
+    EXPECT_FALSE(v.perturbs) << v.label;
+    EXPECT_FALSE(v.detectable) << v.label;
+    EXPECT_TRUE(v.observers.empty()) << v.label;
+  }
 }
 
 // --- SARIF export ----------------------------------------------------------------

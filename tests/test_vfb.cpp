@@ -9,6 +9,7 @@
 #include "fi/workloads.hpp"
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"
+#include "validation/validator.hpp"
 #include "vfb/lowering.hpp"
 #include "vfb/model.hpp"
 #include "vfb/rte.hpp"
@@ -47,7 +48,7 @@ TEST(Composition, ValidModelPasses) {
   c.add_instance({"p", "Producer"});
   c.add_instance({"k", "Consumer"});
   c.add_connector({"p", "out", "k", "in"});
-  EXPECT_NO_THROW(c.validate());
+  EXPECT_FALSE(orte::validation::validate(c).has_errors());
 }
 
 TEST(Composition, ConnectorDirectionMismatchFails) {
@@ -58,7 +59,7 @@ TEST(Composition, ConnectorDirectionMismatchFails) {
   c.add_instance({"a", "A"});
   c.add_instance({"b", "B"});
   c.add_connector({"b", "in", "a", "out"});  // reversed
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+  EXPECT_TRUE(orte::validation::validate(c).has_errors());
 }
 
 TEST(Composition, InterfaceMismatchFails) {
@@ -70,7 +71,7 @@ TEST(Composition, InterfaceMismatchFails) {
   c.add_instance({"a", "A"});
   c.add_instance({"b", "B"});
   c.add_connector({"a", "out", "b", "in"});
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+  EXPECT_TRUE(orte::validation::validate(c).has_errors());
 }
 
 TEST(Composition, MultipleFeedsToRequiredPortFail) {
@@ -83,7 +84,7 @@ TEST(Composition, MultipleFeedsToRequiredPortFail) {
   c.add_instance({"b", "B"});
   c.add_connector({"a1", "out", "b", "in"});
   c.add_connector({"a2", "out", "b", "in"});
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+  EXPECT_TRUE(orte::validation::validate(c).has_errors());
 }
 
 TEST(Composition, WriteAccessOnRequiredPortFails) {
@@ -95,7 +96,7 @@ TEST(Composition, WriteAccessOnRequiredPortFails) {
   r.accesses.push_back({"in", "val", DataAccessKind::kExplicitWrite});
   c.add_type({"B", {Port{"in", "IVal", PortDirection::kRequired}}, {r}});
   c.add_instance({"b", "B"});
-  EXPECT_THROW(c.validate(), std::invalid_argument);
+  EXPECT_TRUE(orte::validation::validate(c).has_errors());
 }
 
 TEST(Composition, DuplicateNamesFail) {
@@ -899,8 +900,7 @@ TEST(Lowering, InventoryBlamesTaskOwnersAndProducers) {
   wheel.behaviour = orte::contracts::BehaviourSpec{
       .automaton = ta, .bindings = {{"in.pos", "pos"}}};
   bundle.model.bind_contract("wheel_fl", wheel);
-  const Lowering lw =
-      lower(bundle.model, bundle.plan, bundle.model.bound_contracts());
+  const Lowering lw = lower(bundle.model, bundle.plan);
   EXPECT_TRUE(lw.problems.empty());
 
   using Kind = MonitorEntry::Kind;
@@ -959,7 +959,7 @@ TEST(Lowering, MalformedModelLowersAndListsWhatWasSkipped) {
   plan.instances["ghost"] = {.ecu = "ecu0"};
 
   Lowering lw;
-  EXPECT_NO_THROW(lw = lower(comp, plan, comp.bound_contracts()));
+  EXPECT_NO_THROW(lw = lower(comp, plan));
   std::vector<std::pair<LoweringProblem::Kind, std::string>> skipped;
   for (const auto& problem : lw.problems) {
     skipped.emplace_back(problem.kind, problem.subject);
