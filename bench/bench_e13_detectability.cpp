@@ -109,7 +109,7 @@ int main() {
       planes += "->";
       planes += o.blame;
     }
-    std::printf("  %-22s %s%s\n", v.label.c_str(),
+    std::printf("  %-22s %s%s\n", v.fault.label().c_str(),
                 !v.perturbs      ? "inert (structurally contained)"
                 : !v.detectable  ? "UNDETECTABLE (V13)"
                 : v.containment_gap
@@ -145,7 +145,7 @@ int main() {
     spurious += m.spurious;
     std::printf("  %-22s predicted=%-12s measured: contained=%zu "
                 "detected=%zu missed=%zu spurious=%zu  %s\n",
-                v.label.c_str(),
+                v.fault.label().c_str(),
                 !v.detectable       ? "missed"
                 : v.contained       ? "contained"
                 : v.containment_gap ? "leaked"
@@ -153,7 +153,7 @@ int main() {
                 m.contained, m.detected, m.missed, m.spurious,
                 ok ? "AGREE" : "DISAGREE");
     json.row("faults")
-        .str("label", v.label)
+        .str("label", v.fault.label())
         .num_u("predicted_perturbs", v.perturbs ? 1 : 0)
         .num_u("predicted_detectable", v.detectable ? 1 : 0)
         .num_u("predicted_contained", v.contained ? 1 : 0)

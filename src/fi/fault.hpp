@@ -22,21 +22,24 @@ namespace orte::fi {
 
 /// The injectable fault kinds, grouped into the four classes the coverage
 /// matrix scores. Target semantics per kind:
-///  * frame faults (drop/corrupt/delay): substring of the frame (= I-PDU)
-///    name, "" = every frame on the bus,
+///  * frame faults (drop/corrupt/delay): a frame (= I-PDU) name or a prefix
+///    of it ending at a '|' ("pdu|pedal_ecu" hits "pdu|pedal_ecu|5000000|0"),
+///    "" = every frame on the bus,
 ///  * babbling idiot: the bus itself (target unused); a rogue node is
 ///    attached that floods high-priority frames,
 ///  * value faults (corrupt/stuck-at): a written RTE sender key
-///    ("instance.port.element") or its instance name,
+///    ("instance.port.element") or a prefix of it ending at a '.', such as
+///    its instance name,
 ///  * task faults (crash/overrun/jitter): a component instance owning a
 ///    generated task,
 ///  * clock drift: an ECU name (all frames sourced by its bus node drift).
-/// A target that names nothing of its kind in the built system (a frame
-/// substring no PDU name contains, say) is rejected with
-/// std::invalid_argument by fi::install_faults and fi::Campaign::run, and so
-/// is a parameter that would throw inside a job or never act: a jitter
-/// magnitude outside [0, 1], an overrun magnitude below 1, a frame delay on
-/// a FlexRay bus.
+/// vfb::key_matches is the prefix rule. validation::check_faults rejects
+/// with std::invalid_argument a target that names nothing of its kind in
+/// the lowering, and a parameter that would throw inside a job or never act:
+/// a jitter magnitude outside [0, 1], an overrun magnitude below 1, a frame
+/// delay on a FlexRay bus. fi::install_faults, fi::Campaign::run and
+/// validation::analyze_detectability all call it, so the injector and
+/// V13–V15 admit the same faults.
 enum class FaultKind {
   // -- bus plane (class kBus) --
   kFrameDrop,      ///< Lose matching frames at the delivery point.
@@ -81,7 +84,8 @@ struct Fault {
   /// kFrameDelay: added latency; kBabblingIdiot: flood period (0 = 100 us).
   sim::Duration delay = 0;
 
-  /// Human-readable scenario label ("wcet_overrun:pedal").
+  /// The fault's one name, in campaign reports and V13/V14 subjects alike:
+  /// "wcet_overrun:pedal", or just the kind for an empty target.
   [[nodiscard]] std::string label() const;
 };
 
@@ -120,8 +124,8 @@ struct Domain {
 
 /// Containment domain of `fault` deployed under `plan`: the one rule
 /// fi::Campaign scores with and the detectability analysis (V13–V15)
-/// predicts with. Inline, like fault_class, so validation needs no link
-/// dependency on the fi library.
+/// predicts with. This header is inline throughout, so validation needs no
+/// link dependency on the fi library.
 [[nodiscard]] inline Domain domain_of(const Fault& fault,
                                       const vfb::DeploymentPlan& plan) {
   Domain domain;
@@ -157,7 +161,53 @@ struct Domain {
   return domain;
 }
 
-[[nodiscard]] std::string_view to_string(FaultKind kind);
-[[nodiscard]] std::string_view to_string(FaultClass cls);
+[[nodiscard]] constexpr std::string_view to_string(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kFrameDrop:
+      return "frame_drop";
+    case FaultKind::kFrameCorrupt:
+      return "frame_corrupt";
+    case FaultKind::kFrameDelay:
+      return "frame_delay";
+    case FaultKind::kBabblingIdiot:
+      return "babbling_idiot";
+    case FaultKind::kValueCorrupt:
+      return "value_corrupt";
+    case FaultKind::kStuckAt:
+      return "stuck_at";
+    case FaultKind::kTaskCrash:
+      return "task_crash";
+    case FaultKind::kWcetOverrun:
+      return "wcet_overrun";
+    case FaultKind::kExecutionJitter:
+      return "execution_jitter";
+    case FaultKind::kClockDrift:
+      return "clock_drift";
+  }
+  return "unknown";
+}
+
+[[nodiscard]] constexpr std::string_view to_string(FaultClass cls) {
+  switch (cls) {
+    case FaultClass::kBus:
+      return "bus";
+    case FaultClass::kRteValue:
+      return "rte_value";
+    case FaultClass::kTiming:
+      return "timing";
+    case FaultClass::kClock:
+      return "clock";
+  }
+  return "unknown";
+}
+
+inline std::string Fault::label() const {
+  std::string out{to_string(kind)};
+  if (!target.empty()) {
+    out.push_back(':');
+    out += target;
+  }
+  return out;
+}
 
 }  // namespace orte::fi

@@ -1,11 +1,6 @@
 #include "fi/injector.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <functional>
 #include <memory>
-#include <set>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -14,6 +9,7 @@
 #include "net/frame.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
+#include "validation/detectability.hpp"
 
 namespace orte::fi {
 
@@ -23,10 +19,9 @@ bool in_window(const Fault& f, sim::Time now) {
   return now >= f.from && now < f.until;
 }
 
-/// Frame-name match: empty target = every frame, else substring.
+/// Frame-name match: empty target = every frame, else vfb::key_matches.
 bool frame_matches(const Fault& f, const net::Frame& frame) {
-  return f.target.empty() ||
-         frame.name.find(f.target) != std::string::npos;
+  return f.target.empty() || vfb::key_matches(f.target, frame.name);
 }
 
 /// One fault plus its private RNG stream (shared_ptr: the stream state must
@@ -42,93 +37,11 @@ struct Drift {
   int node = -1;
 };
 
-/// Throw when `f`'s target names nothing of its kind in `sys`.
-void check_target(const vfb::System& sys, const Fault& f) {
-  // A babbling idiot ignores its target; an empty frame target means every
-  // frame.
-  const bool bus = fault_class(f.kind) == FaultClass::kBus;
-  if (f.kind == FaultKind::kBabblingIdiot || (bus && f.target.empty())) {
-    return;
-  }
-  std::string_view what;
-  std::set<std::string> valid;
-  std::function<bool(const std::string&)> resolves =
-      [&f](const std::string& name) { return name == f.target; };
-  switch (fault_class(f.kind)) {
-    case FaultClass::kBus:
-      what = "frame";
-      for (const auto& pdu : sys.pdus()) valid.insert(pdu.name);
-      resolves = [&f](const std::string& frame) {
-        return frame.find(f.target) != std::string::npos;
-      };
-      break;
-    case FaultClass::kRteValue:
-      what = "written sender key or its instance";
-      valid.insert(sys.written_keys().begin(), sys.written_keys().end());
-      resolves = [&f](const std::string& key) {
-        return vfb::key_matches(f.target, key);
-      };
-      break;
-    case FaultClass::kTiming:
-      what = "instance owning a task";
-      for (const auto& t : sys.tasks()) valid.insert(t.instance);
-      break;
-    case FaultClass::kClock:
-      what = "ECU";
-      valid.insert(sys.ecu_names().begin(), sys.ecu_names().end());
-      break;
-  }
-  if (std::any_of(valid.begin(), valid.end(), resolves)) return;
-  std::string names;
-  for (const auto& n : valid) names += (names.empty() ? "" : ", ") + n;
-  throw std::invalid_argument("fi: fault " + f.label() + ": target \"" +
-                              f.target + "\" names no " + std::string(what) +
-                              " (valid: " + (names.empty() ? "none" : names) +
-                              ")");
-}
-
-/// Throw when a parameter of `f` would make the isolation WCET helpers throw
-/// inside a job (on a campaign worker) or could never act on `sys`'s bus.
-void check_parameters(const vfb::System& sys, const Fault& f) {
-  const auto reject = [&f](const std::string& problem) {
-    throw std::invalid_argument("fi: fault " + f.label() + ": " + problem);
-  };
-  char magnitude[32];
-  std::snprintf(magnitude, sizeof(magnitude), "%g", f.magnitude);
-  switch (f.kind) {
-    case FaultKind::kExecutionJitter:
-      if (!(f.magnitude >= 0.0 && f.magnitude <= 1.0)) {
-        reject(std::string("magnitude ") + magnitude + " is outside [0, 1]");
-      }
-      break;
-    case FaultKind::kWcetOverrun:
-      if (!(f.magnitude >= 1.0)) {
-        reject(std::string("magnitude ") + magnitude + " is below 1");
-      }
-      break;
-    case FaultKind::kFrameDelay:
-      if (sys.flexray_bus() != nullptr) {
-        reject("a FlexRay bus ignores frame delays (its static slots pin "
-               "frame timing)");
-      }
-      break;
-    default:
-      break;
-  }
-}
-
 }  // namespace
-
-void check_targets(const vfb::System& sys, const std::vector<Fault>& faults) {
-  for (const Fault& f : faults) {
-    check_target(sys, f);
-    check_parameters(sys, f);
-  }
-}
 
 void install_faults(sim::Kernel& kernel, vfb::System& sys,
                     const std::vector<Fault>& faults, const sim::Rng& root) {
-  check_targets(sys, faults);
+  validation::check_faults(sys.lowering(), faults);
   std::vector<Armed> frame_faults;  // drop / corrupt / delay
   std::vector<Armed> write_faults;  // value corrupt / stuck-at
   std::vector<Fault> crash_faults;  // fail-silent write swallowing
@@ -192,7 +105,7 @@ void install_faults(sim::Kernel& kernel, vfb::System& sys,
       case FaultKind::kWcetOverrun:
       case FaultKind::kExecutionJitter: {
         const Fault fault = f;
-        for (const auto& lowered : sys.tasks()) {
+        for (const auto& lowered : sys.lowering().tasks) {
           if (lowered.instance != fault.target) continue;
           os::Task* task = sys.ecu(lowered.ecu).find_task(lowered.name);
           switch (fault.kind) {

@@ -23,19 +23,14 @@
 
 namespace orte::fi {
 
-/// Throw std::invalid_argument for the first fault whose target names
-/// nothing the system's lowering generated (see fi::FaultKind) — such a fault
-/// could never fire and would silently score `missed`; the message names the
-/// target and lists the valid names of its kind. Once its target resolves,
-/// a fault is also rejected for a parameter that would throw inside a job
-/// (jitter magnitude outside [0, 1], overrun magnitude below 1) or could
-/// never act (a frame delay on FlexRay, whose static slots pin timing).
-void check_targets(const vfb::System& sys, const std::vector<Fault>& faults);
-
-/// Install every fault onto `sys` (after check_targets). Stochastic
-/// decisions (probability < 1, execution jitter) draw from per-fault streams
-/// forked off `root`, so two scenarios with the same (faults, root) replay
-/// bit-identically no matter what else runs in the process.
+/// Install every fault onto `sys`. First, validation::check_faults admits
+/// the faults against sys.lowering() and throws std::invalid_argument for
+/// one that names nothing the lowering generated (it could never fire and
+/// would silently score `missed`) or has a parameter that could not act.
+/// Stochastic decisions (probability < 1, execution jitter) draw from
+/// per-fault streams forked off `root`, so two scenarios with the same
+/// (faults, root) replay bit-identically no matter what else runs in the
+/// process.
 void install_faults(sim::Kernel& kernel, vfb::System& sys,
                     const std::vector<Fault>& faults, const sim::Rng& root);
 

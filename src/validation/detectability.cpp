@@ -1,7 +1,9 @@
 #include "validation/detectability.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -17,46 +19,82 @@ using vfb::MonitorEntry;
 
 using ContractMap = std::map<std::string, Contract, std::less<>>;
 
-/// Local fault label (fi::Fault::label lives in the fi library, which sits
-/// above validation in the link order — the analysis renders its own).
-std::string fault_label(const fi::Fault& f) {
-  std::string_view kind;
-  switch (f.kind) {
-    case fi::FaultKind::kFrameDrop:
-      kind = "frame_drop";
+// --- Admission ----------------------------------------------------------------
+
+/// Throw when `f`'s target names nothing of its kind in `l`.
+void check_target(const vfb::Lowering& l, const fi::Fault& f) {
+  const fi::FaultClass cls = fi::fault_class(f.kind);
+  // A babbling idiot ignores its target; an empty frame target means every
+  // frame.
+  if (f.kind == fi::FaultKind::kBabblingIdiot ||
+      (cls == fi::FaultClass::kBus && f.target.empty())) {
+    return;
+  }
+  std::string_view what;
+  std::set<std::string> valid;
+  switch (cls) {
+    case fi::FaultClass::kBus:
+      what = "frame";
+      for (const auto& pdu : l.pdus) valid.insert(pdu.name);
       break;
-    case fi::FaultKind::kFrameCorrupt:
-      kind = "frame_corrupt";
+    case fi::FaultClass::kRteValue:
+      what = "written sender key or its instance";
+      valid.insert(l.written.begin(), l.written.end());
       break;
-    case fi::FaultKind::kFrameDelay:
-      kind = "frame_delay";
+    case fi::FaultClass::kTiming:
+      what = "instance owning a task";
+      for (const auto& t : l.tasks) valid.insert(t.instance);
       break;
-    case fi::FaultKind::kBabblingIdiot:
-      kind = "babbling_idiot";
-      break;
-    case fi::FaultKind::kValueCorrupt:
-      kind = "value_corrupt";
-      break;
-    case fi::FaultKind::kStuckAt:
-      kind = "stuck_at";
-      break;
-    case fi::FaultKind::kTaskCrash:
-      kind = "crash";
-      break;
-    case fi::FaultKind::kWcetOverrun:
-      kind = "wcet_overrun";
-      break;
-    case fi::FaultKind::kExecutionJitter:
-      kind = "exec_jitter";
-      break;
-    case fi::FaultKind::kClockDrift:
-      kind = "clock_drift";
+    case fi::FaultClass::kClock:
+      what = "ECU";
+      valid.insert(l.ecus.begin(), l.ecus.end());
       break;
   }
-  std::string out(kind);
-  out += ':';
-  out += f.target.empty() ? "*" : f.target;
-  return out;
+  // Frames and sender keys take a segment prefix; instances and ECUs are
+  // named exactly, as the injector looks them up.
+  const bool prefix =
+      cls == fi::FaultClass::kBus || cls == fi::FaultClass::kRteValue;
+  if (std::any_of(valid.begin(), valid.end(), [&](const std::string& name) {
+        return prefix ? vfb::key_matches(f.target, name) : name == f.target;
+      })) {
+    return;
+  }
+  std::string names;
+  for (const auto& n : valid) names += (names.empty() ? "" : ", ") + n;
+  throw std::invalid_argument("fi: fault " + f.label() + ": target \"" +
+                              f.target + "\" names no " + std::string(what) +
+                              " (valid: " + (names.empty() ? "none" : names) +
+                              ")");
+}
+
+/// Throw when a parameter of `f` would make the isolation WCET helpers throw
+/// inside a job (on a campaign worker) or could never act on `l`'s bus.
+void check_parameters(const vfb::Lowering& l, const fi::Fault& f) {
+  const auto reject = [&f](const std::string& problem) {
+    throw std::invalid_argument("fi: fault " + f.label() + ": " + problem);
+  };
+  char magnitude[32];
+  std::snprintf(magnitude, sizeof(magnitude), "%g", f.magnitude);
+  switch (f.kind) {
+    case fi::FaultKind::kExecutionJitter:
+      if (!(f.magnitude >= 0.0 && f.magnitude <= 1.0)) {
+        reject(std::string("magnitude ") + magnitude + " is outside [0, 1]");
+      }
+      break;
+    case fi::FaultKind::kWcetOverrun:
+      if (!(f.magnitude >= 1.0)) {
+        reject(std::string("magnitude ") + magnitude + " is below 1");
+      }
+      break;
+    case fi::FaultKind::kFrameDelay:
+      if (l.bus == vfb::BusKind::kFlexRay) {
+        reject("a FlexRay bus ignores frame delays (its static slots pin "
+               "frame timing)");
+      }
+      break;
+    default:
+      break;
+  }
 }
 
 // --- Perturbation atoms -------------------------------------------------------
@@ -208,15 +246,13 @@ void propagate_values(const World& w, std::set<std::string>& writes,
 }
 
 /// Cross-ECU edges a frame fault hits: those carrying a signal of a PDU
-/// whose name contains the target (the frame name the injector matches;
-/// an empty target hits every PDU).
+/// the target names (vfb::key_matches, the rule the injector matches frame
+/// names with; an empty target hits every PDU).
 std::vector<const vfb::FlowEdge*> frame_edges(const fi::Fault& f,
                                               const World& w) {
   std::set<std::string> carried;
   for (const auto& pdu : w.lowering.pdus) {
-    if (!f.target.empty() && pdu.name.find(f.target) == std::string::npos) {
-      continue;
-    }
+    if (!f.target.empty() && !vfb::key_matches(f.target, pdu.name)) continue;
     for (const auto& [index, offset] : pdu.signals) {
       carried.insert(w.lowering.signals[index].sender_key);
     }
@@ -245,11 +281,7 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
     }
   };
   switch (f.kind) {
-    case fi::FaultKind::kFrameDelay:
-      // TDMA static slots pin frame timing: the bus ignores the delay, so
-      // the fault perturbs nothing (fi::check_targets rejects it there).
-      if (plan.bus != vfb::BusKind::kCan) break;
-      [[fallthrough]];
+    case fi::FaultKind::kFrameDelay:  // CAN only: admission rejects FlexRay
     case fi::FaultKind::kFrameDrop:
       for (const vfb::FlowEdge* e : frame_edges(f, w)) add_delivery(*e);
       break;
@@ -279,9 +311,7 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
       std::set<std::string> delivers;
       for (const auto& [instance, keys] : w.writes_of) {
         for (const auto& key : keys) {
-          if (f.target.empty() || vfb::key_matches(f.target, key)) {
-            writes.insert(key);
-          }
+          if (vfb::key_matches(f.target, key)) writes.insert(key);
         }
       }
       propagate_values(w, writes, delivers);
@@ -328,7 +358,6 @@ FaultVerdict judge(const fi::Fault& f, const World& w,
                    const std::vector<Plane>& planes) {
   FaultVerdict v;
   v.fault = f;
-  v.label = fault_label(f);
   const std::set<Atom> atoms = perturbation_of(f, w, plan);
   v.perturbs = !atoms.empty();
   const fi::Domain domain = fi::domain_of(f, plan);
@@ -397,6 +426,7 @@ DetectabilityAnalysis analyze_detectability(
     const std::vector<fi::Fault>& faults) {
   DetectabilityAnalysis out;
   const vfb::Lowering lowering = vfb::lower(model, plan);
+  check_faults(lowering, faults);
   const World w(lowering);
   const std::vector<Plane> planes =
       plan.runtime_verification ? build_planes(w) : std::vector<Plane>{};
@@ -409,6 +439,14 @@ DetectabilityAnalysis analyze_detectability(
   return out;
 }
 
+void check_faults(const vfb::Lowering& lowering,
+                  const std::vector<fi::Fault>& faults) {
+  for (const fi::Fault& f : faults) {
+    check_target(lowering, f);
+    check_parameters(lowering, f);
+  }
+}
+
 void check_detectability(
     const vfb::Lowering& lowering, const vfb::DeploymentPlan& plan,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
@@ -418,6 +456,8 @@ void check_detectability(
   // plane would be noise.
   if (!plan.runtime_verification || contracts.empty()) return;
 
+  // The canonical faults are built from the lowering, so they skip
+  // admission (which would cost faults x names on a vehicle-size model).
   const World w(lowering);
   const std::vector<Plane> planes = build_planes(w);
   const std::vector<fi::Fault> faults = canonical_faults(contracts, w);
@@ -426,7 +466,7 @@ void check_detectability(
     const FaultVerdict v = judge(f, w, plan, planes);
     if (v.perturbs && !v.detectable) {
       const bool crash = f.kind == fi::FaultKind::kTaskCrash;
-      out.add("V13", Severity::kWarning, v.label,
+      out.add("V13", Severity::kWarning, f.label(),
               "fault plane perturbs observable flows but no compiled runtime "
               "monitor watches any of them — a campaign scores it missed",
               crash ? "a crashed producer is fail-silent; set "
@@ -436,7 +476,7 @@ void check_detectability(
                       "affected flow so a monitor is compiled for it");
     }
     if (v.containment_gap) {
-      out.add("V14", Severity::kWarning, v.label,
+      out.add("V14", Severity::kWarning, f.label(),
               "fault is detectable, but every observing monitor blames an "
               "instance outside the fault's containment domain — detection "
               "can never score as contained",

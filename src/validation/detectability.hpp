@@ -29,7 +29,10 @@
 // cannot do is *argue fail-silence* for the flagged fault class. The
 // verdicts are the static half of a cross-check asserted in tests and
 // bench_e13: predicted-undetectable faults must score `missed` in the E9b
-// campaign, predicted-detectable ones must be detected.
+// campaign, predicted-detectable ones must be detected. Both halves speak
+// one fault vocabulary: a fault is named by fi::Fault::label(), its frame
+// and value targets resolve by vfb::key_matches, and check_faults below
+// admits it for the injector and this analysis alike.
 #pragma once
 
 #include <map>
@@ -65,14 +68,13 @@ struct MonitorPlane {
   std::string blame;
 };
 
-/// Static verdict over one fault plane.
+/// Static verdict over one fault plane (named by fault.label(), as the
+/// campaign names its scenarios).
 struct FaultVerdict {
   fi::Fault fault;
-  std::string label;    ///< "crash:pedal"-style scenario label.
   /// The fault perturbs at least one observable. False = structurally inert
-  /// (a babbling idiot or a frame delay on a TDMA bus): the campaign scores
-  /// it missed, but no V13 fires — there is nothing a monitor *could* have
-  /// seen.
+  /// (a babbling idiot on a TDMA bus): the campaign scores it missed, but no
+  /// V13 fires — there is nothing a monitor *could* have seen.
   bool perturbs = false;
   bool detectable = false;       ///< >= 1 monitor observes a perturbation.
   /// Detectable, but no observing monitor blames inside the fault's domain:
@@ -91,10 +93,22 @@ struct DetectabilityAnalysis {
   std::vector<FaultVerdict> verdicts;  ///< One per input fault, in order.
 };
 
+/// The one fault admission check: throw std::invalid_argument for the first
+/// fault whose target names nothing of its kind in `lowering` (see
+/// fi::FaultKind; the message names the target and lists the valid names),
+/// or, once its target resolves, whose parameter would throw inside a job
+/// (jitter magnitude outside [0, 1], overrun magnitude below 1) or could
+/// never act (a frame delay on FlexRay, whose static slots pin timing).
+/// fi::install_faults, fi::Campaign::run and analyze_detectability call it,
+/// so the injector and the static analysis admit exactly the same faults.
+void check_faults(const vfb::Lowering& lowering,
+                  const std::vector<fi::Fault>& faults);
+
 /// Run the propagation analysis for an explicit fault list over the
 /// lowering of `model` (with its bound contracts) under `plan` — the
 /// cross-check surface: bench_e13 and test_fi feed the standard campaign
 /// grid through this and compare each verdict against the measured outcome.
+/// Throws what check_faults throws for a fault the injector would reject.
 [[nodiscard]] DetectabilityAnalysis analyze_detectability(
     const vfb::Composition& model, const vfb::DeploymentPlan& plan,
     const std::vector<fi::Fault>& faults);

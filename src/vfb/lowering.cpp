@@ -52,6 +52,12 @@ class Lowerer {
     out_.ecus.assign(ecus.begin(), ecus.end());
 
     walk_instances();
+    auto& written = out_.written;
+    for (const auto& io : out_.runnables) {
+      written.insert(written.end(), io.writes.begin(), io.writes.end());
+    }
+    std::sort(written.begin(), written.end());
+    written.erase(std::unique(written.begin(), written.end()), written.end());
     walk_connectors();
     pack_pdus();
     emit_tasks();
@@ -591,9 +597,9 @@ std::string_view to_string(MonitorEntry::Kind kind) {
 }
 
 bool key_matches(std::string_view target, std::string_view key) {
-  return key == target || (key.size() > target.size() &&
-                           key.substr(0, target.size()) == target &&
-                           key[target.size()] == '.');
+  return key == target ||
+         (key.size() > target.size() && key.starts_with(target) &&
+          (key[target.size()] == '.' || key[target.size()] == '|'));
 }
 
 }  // namespace orte::vfb

@@ -1,7 +1,6 @@
 #include "vfb/system.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
@@ -30,52 +29,44 @@ void System::build() {
   // below. Static end-to-end bounds (holistic fixpoint over its chains) are
   // computed once: V9 judges them, build_monitors stamps them into each
   // LatencySpec and analyze() reports them next to the task/PDU responses.
-  Lowering lowering = lower(model_, plan_);
+  lowering_ = lower(model_, plan_);
   validation::ChainAnalysis chains =
-      validation::analyze_chains(lowering, model_.bound_contracts());
+      validation::analyze_chains(lowering_, model_.bound_contracts());
   // Strict-mode static validation: the full rule set runs over the model
   // *and* the deployment plan before any runtime object exists. Any
   // error-severity diagnostic aborts generation with the complete rendered
   // report — the one validation::validate(model, plan) returns; warnings
   // (e.g. V4 race hazards) and infos are tolerated here.
   if (const validation::Diagnostics report =
-          validation::validate_lowering(model_, plan_, lowering, chains);
+          validation::validate_lowering(model_, plan_, lowering_, chains);
       report.has_errors()) {
     throw std::invalid_argument("System: model validation failed\n" +
                                 report.render());
   }
-  if (!lowering.problems.empty()) {
+  if (!lowering_.problems.empty()) {
     // The validator rejects everything lower() skips, so reaching this is
     // a validator gap, not a user error.
-    throw std::logic_error("internal: " + lowering.problems.front().message +
+    throw std::logic_error("internal: " + lowering_.problems.front().message +
                            " escaped validation");
   }
   chain_bounds_ = std::move(chains.bounds);
-  ecu_names_ = lowering.ecus;
-  plan_.flexray = lowering.flexray;
-  signal_count_ = lowering.signals.size();
-  std::set<std::string> written;
-  for (const auto& io : lowering.runnables) {
-    written.insert(io.writes.begin(), io.writes.end());
-  }
-  written_keys_.assign(written.begin(), written.end());
   // Instantiation reads only tasks, frames, routes and monitors: free the
   // dataflow and flow resolution now (exchanging, since assigning {} keeps
   // a vector's capacity), so the runtime objects reuse their memory.
-  (void)std::exchange(lowering.edges, {});
-  (void)std::exchange(lowering.runnables, {});
-  (void)std::exchange(lowering.flows, {});
-  (void)std::exchange(lowering.writer_task, {});
-  (void)std::exchange(lowering.periodic_load, {});
+  (void)std::exchange(lowering_.edges, {});
+  (void)std::exchange(lowering_.runnables, {});
+  (void)std::exchange(lowering_.flows, {});
+  (void)std::exchange(lowering_.writer_task, {});
+  (void)std::exchange(lowering_.periodic_load, {});
 
   // ---- Bus + per-ECU infrastructure ----------------------------------------
   if (plan_.bus == BusKind::kCan) {
     can_ = std::make_unique<can::CanBus>(kernel_, trace_, plan_.can);
   } else {
-    flexray_ =
-        std::make_unique<flexray::FlexRayBus>(kernel_, trace_, plan_.flexray);
+    flexray_ = std::make_unique<flexray::FlexRayBus>(kernel_, trace_,
+                                                     lowering_.flexray);
   }
-  for (const auto& name : ecu_names_) {
+  for (const auto& name : lowering_.ecus) {
     EcuCtx c;
     c.ecu = std::make_unique<os::Ecu>(kernel_, trace_, name);
     c.com = std::make_unique<bsw::Com>(kernel_, trace_);
@@ -86,23 +77,33 @@ void System::build() {
     ecus_.emplace(name, std::move(c));
   }
 
-  build_com(lowering);
-  for (const auto& route : lowering.routes) {
+  build_com();
+  for (const auto& route : lowering_.routes) {
     const DataElement& elem = *route.element;
     ctx(route.ecu).rte->add_local_route(route.sender_key, route.receiver_key,
                                         elem.queued, elem.init,
                                         elem.queue_length, elem.overflow);
   }
-  build_tasks(lowering);
-  if (plan_.runtime_verification) build_monitors(lowering);
-  if (plan_.alive_supervision) build_alive_supervision(lowering);
+  build_tasks();
+  if (plan_.runtime_verification) build_monitors();
+  if (plan_.alive_supervision) build_alive_supervision();
 
-  tasks_ = std::move(lowering.tasks);
-  pdus_ = std::move(lowering.pdus);
+  // Keep what analyze(), task_of() and fault admission read: the ECUs,
+  // tasks, PDUs and written keys.
+  (void)std::exchange(lowering_.inits, {});
+  (void)std::exchange(lowering_.signals, {});
+  (void)std::exchange(lowering_.routes, {});
+  (void)std::exchange(lowering_.monitors, {});
 }
 
-void System::build_com(const Lowering& lowering) {
-  for (const auto& pdu : lowering.pdus) {
+std::size_t System::signal_count() const {
+  std::size_t n = 0;  // every signal rides in exactly one PDU
+  for (const auto& pdu : lowering_.pdus) n += pdu.signals.size();
+  return n;
+}
+
+void System::build_com() {
+  for (const auto& pdu : lowering_.pdus) {
     EcuCtx& sender = ctx(pdu.sender_ecu);
     bsw::IPduConfig pdu_cfg;
     pdu_cfg.name = pdu.name;
@@ -123,7 +124,7 @@ void System::build_com(const Lowering& lowering) {
         rx_by_ecu;
 
     for (const auto& [index, offset] : pdu.signals) {
-      const LoweredSignal& signal = lowering.signals[index];
+      const LoweredSignal& signal = lowering_.signals[index];
       bsw::SignalConfig sig;
       sig.name = signal.name;
       sig.ipdu = pdu.name;
@@ -164,15 +165,16 @@ void System::build_com(const Lowering& lowering) {
 }
 
 int System::node_of(const std::string& ecu_name) const {
-  for (std::size_t i = 0; i < ecu_names_.size(); ++i) {
-    if (ecu_names_[i] == ecu_name) return static_cast<int>(i);
+  const auto& ecus = lowering_.ecus;
+  for (std::size_t i = 0; i < ecus.size(); ++i) {
+    if (ecus[i] == ecu_name) return static_cast<int>(i);
   }
   return -1;
 }
 
-void System::build_monitors(const Lowering& lowering) {
+void System::build_monitors() {
   registry_ = std::make_unique<rv::MonitorRegistry>(trace_);
-  const auto& monitors = lowering.monitors;
+  const auto& monitors = lowering_.monitors;
   for (std::size_t i = 0; i < monitors.size(); ++i) {
     const MonitorEntry& m = monitors[i];
     switch (m.kind) {
@@ -277,12 +279,12 @@ void System::build_monitors(const Lowering& lowering) {
   registry_->recover_to(plan_.recovery_mode);
 }
 
-void System::build_alive_supervision(const Lowering& lowering) {
+void System::build_alive_supervision() {
   // Every lowered heartbeat is one watchdog entity on its producer's ECU. A
   // key guaranteed at several periods is supervised at the LARGEST one (the
   // weakest heartbeat every guarantee still implies).
   std::map<std::string, std::map<std::string, Heartbeat>> per_ecu;
-  for (const auto& m : lowering.monitors) {
+  for (const auto& m : lowering_.monitors) {
     if (m.kind != MonitorEntry::Kind::kAlive) continue;
     const auto dep = plan_.instances.find(m.blame);
     if (dep == plan_.instances.end()) continue;
@@ -356,9 +358,9 @@ void System::quarantine(const std::string& instance) {
   ctx(dep->second.ecu).rte->quarantine(instance);
 }
 
-void System::build_tasks(const Lowering& lowering) {
+void System::build_tasks() {
   const bool tt = plan_.scheduling == SchedulingPolicy::kTimeTriggered;
-  for (const auto& ecu_name : ecu_names_) {
+  for (const auto& ecu_name : lowering_.ecus) {
     EcuCtx& c = ctx(ecu_name);
 
     for (const auto& p : plan_.partitions) {
@@ -397,7 +399,7 @@ void System::build_tasks(const Lowering& lowering) {
     // runnables' declared WCET bounds; periodic tasks become table-activated.
     if (tt) {
       std::vector<analysis::TtJobSpec> specs;
-      for (const auto& t : lowering.tasks) {
+      for (const auto& t : lowering_.tasks) {
         if (t.ecu != ecu_name || !t.periodic()) continue;
         specs.push_back({.task = t.name, .period = t.period, .wcet = t.wcet});
       }
@@ -412,7 +414,7 @@ void System::build_tasks(const Lowering& lowering) {
       }
     }
 
-    for (const auto& t : lowering.tasks) {
+    for (const auto& t : lowering_.tasks) {
       if (t.ecu != ecu_name) continue;
       const InstanceDeployment& dep = plan_.instances.at(t.instance);
       os::TaskConfig cfg;
@@ -458,7 +460,7 @@ void System::build_tasks(const Lowering& lowering) {
     }
 
     // Init runnables execute once at t=start, outside any task.
-    for (const auto& init : lowering.inits) {
+    for (const auto& init : lowering_.inits) {
       if (plan_.instances.at(init.instance).ecu != ecu_name) continue;
       Rte::Binding* binding = &rte->bind(init.instance, *init.runnable);
       kernel_.schedule_at(
@@ -491,9 +493,9 @@ void System::run_for(sim::Duration horizon) {
 SystemAnalysis System::analyze() const {
   SystemAnalysis out;
   // Per-ECU task analysis over the generated configuration.
-  for (const auto& ecu_name : ecu_names_) {
+  for (const auto& ecu_name : lowering_.ecus) {
     std::vector<analysis::AnalysisTask> local;
-    for (const auto& t : tasks_) {
+    for (const auto& t : lowering_.tasks) {
       if (t.ecu != ecu_name) continue;
       if (t.period <= 0) {
         out.complete = false;  // event task: needs chain context (holistic)
@@ -509,7 +511,7 @@ SystemAnalysis System::analyze() const {
   // Bus analysis of the generated PDUs.
   if (plan_.bus == BusKind::kCan) {
     std::vector<analysis::CanMessage> msgs;
-    for (const auto& p : pdus_) {
+    for (const auto& p : lowering_.pdus) {
       if (p.period == sim::kForever) {
         out.complete = false;  // event-produced
         continue;
@@ -524,14 +526,13 @@ SystemAnalysis System::analyze() const {
   } else {
     // FlexRay static slots: delivery is periodic by construction; the bound
     // is one cycle + slot regardless of load.
-    const auto slot = flexray::FlexRayBus::slot_length(plan_.flexray);
-    const auto cycle = flexray::FlexRayBus::cycle_length(plan_.flexray);
-    for (const auto& p : pdus_) {
-      out.pdu_response[p.name] = cycle + slot;
-    }
+    const auto slot = flexray::FlexRayBus::slot_length(lowering_.flexray);
+    const auto cycle = flexray::FlexRayBus::cycle_length(lowering_.flexray);
+    const auto& pdus = lowering_.pdus;
+    for (const auto& p : pdus) out.pdu_response[p.name] = cycle + slot;
     out.bus_utilization =
         cycle > 0 ? static_cast<double>(
-                        static_cast<sim::Duration>(pdus_.size()) * slot) /
+                        static_cast<sim::Duration>(pdus.size()) * slot) /
                         static_cast<double>(cycle)
                   : 0.0;
   }
@@ -548,7 +549,7 @@ bsw::Com& System::com(const std::string& ecu_name) {
 }
 
 os::Task* System::task_of(const std::string& instance, sim::Duration period) {
-  for (const auto& t : tasks_) {
+  for (const auto& t : lowering_.tasks) {
     if (t.instance == instance && t.period == period && t.periodic()) {
       return ctx(t.ecu).ecu->find_task(t.name);
     }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -378,7 +379,8 @@ std::string render_detectability(const validation::DetectabilityAnalysis& d) {
   std::string out;
   for (const auto& p : d.monitors) out += "plane " + render_plane(p) + "\n";
   for (const auto& v : d.verdicts) {
-    out += "verdict " + v.label + " perturbs=" + std::to_string(v.perturbs) +
+    out += "verdict " + v.fault.label() +
+           " perturbs=" + std::to_string(v.perturbs) +
            " detectable=" + std::to_string(v.detectable) +
            " gap=" + std::to_string(v.containment_gap) +
            " contained=" + std::to_string(v.contained) + "\n";
@@ -397,9 +399,17 @@ StaticDigests static_digests(const vfb::Composition& model,
   sim::Trace trace;
   const vfb::System sys(kernel, trace, model, plan);
   d.analysis = digest_of(render_analysis(sys.analyze()));
+  // The standard faults this model admits (most name brake_by_wire parts).
+  std::vector<fi::Fault> faults;
+  for (const fi::Fault& f : fi::workloads::standard_faults()) {
+    try {
+      validation::check_faults(sys.lowering(), {f});
+      faults.push_back(f);
+    } catch (const std::invalid_argument&) {
+    }
+  }
   d.detectability = digest_of(render_detectability(
-      validation::analyze_detectability(model, plan,
-                                        fi::workloads::standard_faults())));
+      validation::analyze_detectability(model, plan, faults)));
   return d;
 }
 
@@ -419,22 +429,22 @@ TEST(GoldenDiagnostics, Pipelines64) {
     plan.instances["filter" + std::to_string(i)] = {.ecu = "ecu0"};
   }
   expect_static(static_digests(pipeline_model(64, false), plan),
-                0x0bac8b1409cbde30ull, 0x3e4749f794f89fd8ull,
-                0xf996cd135f57fbfaull, 0x65b46afb15239b3eull);
+                0x24aeca73e3d7780eull, 0x41021c4f8395c33aull,
+                0xf996cd135f57fbfaull, 0xc7cf21cbe396a3c8ull);
 }
 
 TEST(GoldenDiagnostics, BrakeByWire) {
   const fi::ModelBundle bundle = fi::workloads::brake_by_wire(false);
   expect_static(static_digests(bundle.model, bundle.plan),
-                0x83c3fb0737bb086cull, 0xffdea092ea8a75aeull,
-                0xa0354aff0010ea2aull, 0x779ca90624495ed8ull);
+                0x9ec75ed963ecf68aull, 0x9bfc1e78fbef0054ull,
+                0xa0354aff0010ea2aull, 0x11d5e49d71609ca3ull);
 }
 
 TEST(GoldenDiagnostics, BrakeByWireAliveSupervision) {
   const fi::ModelBundle bundle = fi::workloads::brake_by_wire(true);
   expect_static(static_digests(bundle.model, bundle.plan),
                 0x45db2a2c9809f5a6ull, 0x699b40b32cd60830ull,
-                0xa0354aff0010ea2aull, 0xe37d0a4d55f177a2ull);
+                0xa0354aff0010ea2aull, 0xadd8460bf9961a31ull);
 }
 
 /// Three-ECU chain: two sensors on ecu_a (one explicit 16-bit flow at 5 ms,
@@ -571,15 +581,15 @@ vfb::DeploymentPlan chain_plan(vfb::BusKind bus) {
 TEST(GoldenDiagnostics, CanChain) {
   expect_static(
       static_digests(chain_model(), chain_plan(vfb::BusKind::kCan)),
-      0x1bf5055f7923160bull, 0x8641b3b87aec95e2ull, 0xbc4f2e0c7fb9dc80ull,
-      0x5588b94996dc6f25ull);
+      0xcf703da91cccc0e1ull, 0x58bbfdb03c9a0e84ull, 0xbc4f2e0c7fb9dc80ull,
+      0x6ff1219f26121fd7ull);
 }
 
 TEST(GoldenDiagnostics, FlexRayChain) {
   expect_static(
       static_digests(chain_model(), chain_plan(vfb::BusKind::kFlexRay)),
-      0xb8894360b745380dull, 0x468979f76bede0cfull, 0x755d381d706bdc62ull,
-      0x17ce4c98c15d7eedull);
+      0x0bea81692da2d741ull, 0x78343f82d39cbaa3ull, 0x755d381d706bdc62ull,
+      0x3bfd55958908f41full);
 }
 
 /// One time-triggered ECU: a writer publishes one element explicitly from a
@@ -682,9 +692,9 @@ TEST(GoldenDiagnostics, TimeTriggeredRaces) {
   for (const char* inst : {"w", "r", "srv", "k"}) {
     plan.instances[inst] = {.ecu = "tt_ecu"};
   }
-  expect_static(static_digests(model, plan), 0xc3c3dc08dbc70c49ull,
-                0x7fbc60c8a4625ca0ull, 0xccb3a8f3e11ae26dull,
-                0xd45ccf91990d87a1ull);
+  expect_static(static_digests(model, plan), 0x1a4bd4bc317dfb81ull,
+                0x83b82c0730cfe56eull, 0xccb3a8f3e11ae26dull,
+                0x6ab282131ec53f6bull);
 }
 
 }  // namespace
