@@ -10,13 +10,16 @@
 // tightness = observed worst / analytic bound.
 //
 // Since the V9 whole-program pass, a third workload exercises the holistic
-// end-to-end path: a multi-ECU FlexRay pipeline set with data-received event
-// sinks is bounded by validation::analyze_chains and then simulated with the
-// generated LatencyMonitors, asserting bound >= observed per chain. Fixpoint
-// iteration count and analysis wall time go to BENCH_e6_analysis.json so the
-// holistic coverage is tracked per PR.
+// end-to-end path: a multi-ECU pipeline set with data-received event sinks,
+// once over FlexRay and once over CAN, is bounded by
+// validation::analyze_chains and then simulated with the generated
+// LatencyMonitors, asserting bound >= observed per chain. Fixpoint iteration
+// counts and analysis wall times go to BENCH_e6_analysis.json so the
+// holistic coverage is tracked per PR; stdout carries no wall time, so two
+// runs print the same bytes.
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/can_analysis.hpp"
@@ -169,14 +172,14 @@ struct ChainCaseResult {
 
 /// Deterministic cross-ECU pipeline set: every pipeline is a timing-
 /// triggered producer on one ECU feeding a data-received sink on the other
-/// over the FlexRay static segment — exactly the shape the generated
-/// LatencyMonitors watch and analyze_chains bounds.
-ChainCaseResult run_chain_case() {
+/// over `bus` — exactly the shape the generated LatencyMonitors watch and
+/// analyze_chains bounds.
+ChainCaseResult run_chain_case(vfb::BusKind bus) {
   using namespace vfb;
   ChainCaseResult out;
   Composition comp;
   DeploymentPlan plan;
-  plan.bus = BusKind::kFlexRay;
+  plan.bus = bus;
   const std::vector<sim::Duration> periods{milliseconds(5), milliseconds(10),
                                            milliseconds(20), milliseconds(10)};
   out.pipelines = periods.size();
@@ -291,26 +294,27 @@ int main() {
     ++band_index;
   }
   bench::print_rule(5);
-  const auto chain = run_chain_case();
-  bench::print_row(
-      {"holistic chain / FlexRay", std::to_string(chain.pipelines),
-       chain.monitors_checked > 0 ? "100.0" : "0.0",
-       std::to_string(chain.violations),
-       chain.monitors_checked > 0
-           ? bench::fmt(chain.tightness_sum / chain.monitors_checked, 3)
-           : "-"});
-  std::printf(
-      "holistic fixpoint: %d iterations, %.3f ms analysis wall time, "
-      "%d/%d chains bounded\n",
-      chain.fixpoint_iterations, chain.analysis_wall_ms, chain.chains_bounded,
-      static_cast<int>(chain.pipelines));
-  {
-    // Separate file (BENCH_e6_analysis.json) so per-PR tooling tracks the
-    // holistic pass itself — iteration count and wall time — independently
-    // of the band tables above.
-    bench::JsonReport chain_report("e6_analysis");
+  // Separate file (BENCH_e6_analysis.json) so per-PR tooling tracks the
+  // holistic pass itself — iteration count and wall time — independently
+  // of the band tables above.
+  bench::JsonReport chain_report("e6_analysis");
+  for (const auto& [bus, label, workload] :
+       {std::tuple{vfb::BusKind::kFlexRay, "FlexRay", "event_flexray_chain"},
+        std::tuple{vfb::BusKind::kCan, "CAN", "event_can_chain"}}) {
+    const auto chain = run_chain_case(bus);
+    bench::print_row(
+        {std::string("holistic chain / ") + label,
+         std::to_string(chain.pipelines),
+         chain.monitors_checked > 0 ? "100.0" : "0.0",
+         std::to_string(chain.violations),
+         chain.monitors_checked > 0
+             ? bench::fmt(chain.tightness_sum / chain.monitors_checked, 3)
+             : "-"});
+    std::printf("holistic fixpoint / %s: %d iterations, %d/%d chains bounded\n",
+                label, chain.fixpoint_iterations, chain.chains_bounded,
+                static_cast<int>(chain.pipelines));
     chain_report.row("e6_chain_fixpoint")
-        .str("workload", "event_flexray_chain")
+        .str("workload", workload)
         .num_u("pipelines", static_cast<std::uint64_t>(chain.pipelines))
         .num_u("fixpoint_iterations",
                static_cast<std::uint64_t>(chain.fixpoint_iterations))
