@@ -220,7 +220,7 @@ int main() {
 
   // Analytical bound: two FlexRay static-slot hops + three task responses.
   const auto& cfg = sys.flexray_bus()->config();
-  const auto hop = analysis::flexray_static_latency(cfg, 1);
+  const auto hop = analysis::flexray_static_latency(cfg);
   const auto bound = analysis::e2e_latency({
       {.name = "fr_hop1", .response = hop.worst},
       {.name = "control", .response = sim::microseconds(300)},
@@ -241,7 +241,7 @@ int main() {
     ++cross_checked;
     if (lm->worst() > lm->spec().static_bound) static_bound_holds = false;
   }
-  const auto& chain_bounds = sys.analyze().chain_bounds;
+  const auto chain_bounds = sys.analyze().bounds;
   std::printf("  holistic bound    : %.3f ms over %zu chains (%s)\n",
               chain_bounds.empty() || !chain_bounds.front().computable
                   ? 0.0

@@ -24,7 +24,12 @@ std::optional<Duration> can_response_time(const CanMessage& msg,
   while (true) {
     Duration next = blocking;
     for (const auto& k : all) {
-      if (k.id >= msg.id || k.period <= 0) continue;  // only higher priority
+      // Higher priority interferes, and so does every other frame with an
+      // equal identifier: frames of one PDU queue FIFO in one controller.
+      if (k.id > msg.id || k.period <= 0 ||
+          (k.id == msg.id && k.name == msg.name)) {
+        continue;
+      }
       const Duration c_k = can::frame_transmission_time(k.bytes, bitrate_bps);
       next += ((w + k.jitter + tau_bit + k.period - 1) / k.period) * c_k;
     }

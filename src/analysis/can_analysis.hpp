@@ -5,6 +5,9 @@
 //   w^{n+1} = B_m + sum_{k in hp(m)} ceil((w^n + J_k + tau_bit) / T_k) * C_k
 //   R_m     = J_m + w + C_m
 // with B_m the longest lower-priority frame (non-preemptive transmission).
+// hp(m) also holds every other message (by name) with m's identifier: equal
+// identifiers are frames of one PDU, queued FIFO in one controller, so one
+// queued first is sent first.
 // Valid for queueing jitter J and R_m <= T_m (single-instance busy period),
 // which holds for all workloads generated in this repository (utilization is
 // checked first).

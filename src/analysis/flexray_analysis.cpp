@@ -2,21 +2,11 @@
 
 namespace orte::analysis {
 
-Duration flexray_slot_length(const flexray::FlexRayConfig& cfg) {
-  return flexray::FlexRayBus::slot_length(cfg);
-}
-
-Duration flexray_cycle_length(const flexray::FlexRayConfig& cfg) {
-  return flexray::FlexRayBus::cycle_length(cfg);
-}
-
-FlexRayStaticLatency flexray_static_latency(const flexray::FlexRayConfig& cfg,
-                                            std::uint32_t slot) {
-  (void)slot;  // every static slot has the same width; position only shifts
-               // the phase, not the bounds.
+FlexRayStaticLatency flexray_static_latency(
+    const flexray::FlexRayConfig& cfg) {
   FlexRayStaticLatency lat;
-  const Duration slot_len = flexray_slot_length(cfg);
-  const Duration cycle = flexray_cycle_length(cfg);
+  const Duration slot_len = flexray::FlexRayBus::slot_length(cfg);
+  const Duration cycle = flexray::FlexRayBus::cycle_length(cfg);
   lat.best = slot_len;                 // written right at slot start
   lat.worst = cycle + slot_len;        // just missed this cycle's slot
   lat.write_to_delivery_jitter = lat.worst - lat.best;

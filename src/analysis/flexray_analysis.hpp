@@ -30,10 +30,10 @@ struct FlexRayStaticLatency {
   Duration write_to_delivery_jitter = 0;
 };
 
-/// Latency bounds from an application write to delivery for static slot
-/// `slot` (1-based) under the given bus configuration.
-FlexRayStaticLatency flexray_static_latency(const flexray::FlexRayConfig& cfg,
-                                            std::uint32_t slot);
+/// Latency bounds from an application write to delivery in any static slot
+/// under the given bus configuration: every static slot has the same width,
+/// so a slot's position only shifts the phase, not the bounds.
+FlexRayStaticLatency flexray_static_latency(const flexray::FlexRayConfig& cfg);
 
 /// Worst-case number of communication cycles a dynamic frame with
 /// `minislots_needed` waits, given the total higher-priority demand in
@@ -42,10 +42,5 @@ FlexRayStaticLatency flexray_static_latency(const flexray::FlexRayConfig& cfg,
 std::optional<int> flexray_dynamic_cycles(std::size_t minislots_total,
                                           std::size_t hp_demand,
                                           std::size_t minislots_needed);
-
-/// Communication cycle length implied by a configuration.
-Duration flexray_cycle_length(const flexray::FlexRayConfig& cfg);
-/// Static slot length implied by a configuration.
-Duration flexray_slot_length(const flexray::FlexRayConfig& cfg);
 
 }  // namespace orte::analysis

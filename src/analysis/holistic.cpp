@@ -19,19 +19,13 @@ void HolisticModel::add_task(DistTask task) {
 
 void HolisticModel::add_message(DistMessage message) {
   (void)task(message.from_task);  // validation: throws on unknown
-  // Empty to_task = pure bus load (a frame whose receiver is not a modelled
-  // task — e.g. a polled signal); it contends for the medium but triggers
-  // nothing.
-  if (!message.to_task.empty()) (void)task(message.to_task);
+  for (const auto& to : message.to_tasks) (void)task(to);
   messages_.push_back(std::move(message));
 }
 
 void HolisticModel::add_dependency(std::string from_task, std::string to_task) {
   (void)task(from_task);
   (void)task(to_task);
-  if (from_task == to_task) {
-    throw std::invalid_argument("dependency self-loop on " + from_task);
-  }
   dependencies_.push_back({std::move(from_task), std::move(to_task)});
 }
 
@@ -42,67 +36,51 @@ const DistTask& HolisticModel::task(const std::string& name) const {
   throw std::invalid_argument("unknown task " + name);
 }
 
-HolisticResult HolisticModel::analyze(std::int64_t can_bitrate_bps,
-                                      int max_iterations) const {
-  BusSpec bus;
-  bus.can_bitrate_bps = can_bitrate_bps;
-  return analyze(bus, max_iterations);
-}
-
 HolisticResult HolisticModel::analyze(const BusSpec& bus,
                                       int max_iterations) const {
   HolisticResult result;
 
   // Derive each task's effective period: chain heads carry their own; a
   // triggered task inherits the period of the chain head feeding it
-  // (through messages and local dependency edges alike).
-  std::map<std::string, Duration> period;
-  std::set<std::string> triggered;  // has an incoming message or dependency
-  for (const auto& t : tasks_) period[t.name] = t.period;
+  // (through messages and local dependency edges alike). Tasks that stay
+  // period-free are left out of everything below.
+  std::map<std::string, Duration>& period = result.period;
+  for (const auto& t : tasks_) {
+    if (t.period > 0) period[t.name] = t.period;
+  }
   bool changed = true;
   while (changed) {
     changed = false;
     const auto inherit = [&](const std::string& from, const std::string& to) {
-      triggered.insert(to);
-      const Duration src = period.at(from);
+      const auto src = period.find(from);
+      if (src == period.end()) return;
       // Min over all sources: with several triggering edges the smallest
       // inter-arrival dominates, and the monotone-decreasing update
       // terminates where a last-writer-wins rule could oscillate.
-      if (src > 0 && (period.at(to) <= 0 || src < period.at(to))) {
-        period[to] = src;
+      const auto [dst, fresh] = period.try_emplace(to, src->second);
+      if (fresh || src->second < dst->second) {
+        dst->second = src->second;
         changed = true;
       }
     };
     for (const auto& m : messages_) {
-      if (!m.to_task.empty()) inherit(m.from_task, m.to_task);
+      for (const auto& to : m.to_tasks) inherit(m.from_task, to);
     }
     for (const auto& d : dependencies_) inherit(d.from_task, d.to_task);
   }
-  for (const auto& t : tasks_) {
-    if (period.at(t.name) <= 0) {
-      throw std::invalid_argument("task without derivable period: " + t.name);
-    }
-  }
+  const auto analysed = [&period](const std::string& name) {
+    return period.count(name) != 0;
+  };
 
-  // FlexRay static-segment delay per message: slot assignment by insertion
-  // order unless pinned; a write that just misses its slot waits one full
-  // communication cycle, so the bound is cycle + slot (delivery instants
-  // themselves are strictly periodic — zero jitter on the bus side).
-  std::map<std::string, Duration> flexray_delay;
-  if (bus.use_flexray) {
-    flexray::FlexRayConfig cfg = bus.flexray;
-    cfg.static_slots = std::max<std::uint32_t>(
-        cfg.static_slots, static_cast<std::uint32_t>(messages_.size()));
-    std::uint32_t next_slot = 1;
-    for (const auto& m : messages_) {
-      const std::uint32_t slot = m.slot != 0 ? m.slot : next_slot++;
-      flexray_delay[m.name] = flexray_static_latency(cfg, slot).worst;
-    }
-  }
+  // FlexRay static segment: a write that just misses its slot waits one full
+  // communication cycle, so every frame's bound is cycle + slot (delivery
+  // instants themselves are strictly periodic — zero jitter on the bus side).
+  const Duration flexray_delay =
+      bus.use_flexray ? flexray_static_latency(bus.flexray).worst : 0;
 
   // Fixpoint: jitters start at 0 and grow monotonically.
   std::map<std::string, Duration> task_jitter;
-  for (const auto& t : tasks_) task_jitter[t.name] = 0;
+  for (const auto& [name, p] : period) task_jitter[name] = 0;
 
   for (int iter = 1; iter <= max_iterations; ++iter) {
     result.iterations = iter;
@@ -114,7 +92,7 @@ HolisticResult HolisticModel::analyze(const BusSpec& bus,
     for (const auto& ecu : ecus) {
       std::vector<AnalysisTask> local;
       for (const auto& t : tasks_) {
-        if (t.ecu != ecu) continue;
+        if (t.ecu != ecu || !analysed(t.name)) continue;
         AnalysisTask a;
         a.name = t.name;
         a.wcet = t.wcet;
@@ -142,11 +120,13 @@ HolisticResult HolisticModel::analyze(const BusSpec& bus,
     std::map<std::string, Duration> msg_resp;
     if (bus.use_flexray) {
       for (const auto& m : messages_) {
-        msg_resp[m.name] = task_resp.at(m.from_task) + flexray_delay.at(m.name);
+        if (!analysed(m.from_task)) continue;
+        msg_resp[m.name] = task_resp.at(m.from_task) + flexray_delay;
       }
     } else {
       std::vector<CanMessage> canbus;
       for (const auto& m : messages_) {
+        if (!analysed(m.from_task)) continue;
         CanMessage c;
         c.name = m.name;
         c.id = m.id;
@@ -165,13 +145,16 @@ HolisticResult HolisticModel::analyze(const BusSpec& bus,
     // 3. Propagate: a triggered task inherits the worst incoming response
     // (message delivery or local producer completion) as release jitter.
     std::map<std::string, Duration> next_jitter;
-    for (const auto& t : tasks_) next_jitter[t.name] = 0;
+    for (const auto& [name, p] : period) next_jitter[name] = 0;
     for (const auto& m : messages_) {
-      if (m.to_task.empty()) continue;
-      next_jitter[m.to_task] =
-          std::max(next_jitter.at(m.to_task), msg_resp.at(m.name));
+      const auto r = msg_resp.find(m.name);
+      if (r == msg_resp.end()) continue;
+      for (const auto& to : m.to_tasks) {
+        next_jitter[to] = std::max(next_jitter.at(to), r->second);
+      }
     }
     for (const auto& d : dependencies_) {
+      if (!analysed(d.from_task)) continue;
       next_jitter[d.to_task] =
           std::max(next_jitter.at(d.to_task), task_resp.at(d.from_task));
     }
@@ -192,40 +175,14 @@ HolisticResult HolisticModel::analyze(const BusSpec& bus,
         if (r > period.at(name)) return result;
       }
       for (const auto& m : messages_) {
-        if (msg_resp.at(m.name) > period.at(m.from_task)) return result;
+        const auto r = msg_resp.find(m.name);
+        if (r != msg_resp.end() && r->second > period.at(m.from_task)) {
+          return result;
+        }
       }
       result.schedulable = true;
-      result.task_response = task_resp;
-      result.message_response = msg_resp;
-      // Chain latency from the head's release: a stage's response time
-      // already includes its inherited jitter (R = J + w), and the jitter
-      // carries the whole upstream chain — so end-to-end is simply the last
-      // stage's response. The walk follows the first outgoing edge at each
-      // stage; fan-out consumers are bounded individually by task_response.
-      for (const auto& t : tasks_) {
-        if (triggered.count(t.name)) continue;  // not a head
-        std::string cursor = t.name;
-        while (true) {
-          const std::string* next = nullptr;
-          for (const auto& m : messages_) {
-            if (m.from_task == cursor && !m.to_task.empty()) {
-              next = &m.to_task;
-              break;
-            }
-          }
-          if (next == nullptr) {
-            for (const auto& d : dependencies_) {
-              if (d.from_task == cursor) {
-                next = &d.to_task;
-                break;
-              }
-            }
-          }
-          if (next == nullptr) break;
-          cursor = *next;
-        }
-        result.chain_latency[t.name] = task_resp.at(cursor);
-      }
+      result.task_response = std::move(task_resp);
+      result.message_response = std::move(msg_resp);
       return result;
     }
   }

@@ -4,19 +4,20 @@
 // static-segment paths and local (same-ECU) activation edges so the analyzer
 // bounds exactly the chains the runtime LatencyMonitors watch.
 //
-// Transactions are chains  task -> message -> task -> ...  spanning ECUs,
+// Transactions are chains  task -> message -> task(s) -> ...  spanning ECUs,
 // plus  task -> task  dependency edges for data-received activations that
 // stay on one ECU (no bus hop, the consumer is released by the producer's
-// write). Release jitter is inherited along the chain (a message inherits
-// the sending task's response time as jitter; the receiving task inherits
-// the message's response time; a dependent task inherits the producer's
-// response time directly), which couples all node-local analyses; the
-// coupled system is solved by fixpoint iteration. Responses are monotone in
-// jitter, so the iteration converges or provably diverges past a deadline.
+// write). One message may activate several tasks: a broadcast frame feeds
+// every consumer of its payload. Release jitter is inherited along the
+// chain (a message inherits the sending task's response time as jitter; a
+// receiving task inherits the message's response time; a dependent task
+// inherits the producer's response time directly), which couples all
+// node-local analyses; the coupled system is solved by fixpoint iteration.
+// Responses are monotone in jitter, so the iteration converges or provably
+// diverges past a deadline.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,19 +38,19 @@ struct DistTask {
 
 struct DistMessage {
   std::string name;
-  std::uint32_t id = 0;  ///< CAN identifier (lower = higher priority).
+  /// CAN identifier (lower = higher priority). Messages sharing one are
+  /// frames of one PDU, queued FIFO in one controller.
+  std::uint32_t id = 0;
   std::size_t bytes = 8;
   std::string from_task;
-  std::string to_task;
-  /// FlexRay static slot (1-based). 0 = assigned by insertion order when the
-  /// model is analyzed in FlexRay mode; ignored in CAN mode.
-  std::uint32_t slot = 0;
+  /// Tasks every delivered frame activates; empty = pure bus load.
+  std::vector<std::string> to_tasks;
 };
 
 /// Bus model used by the fixpoint. The default is CAN (the paper's primary
-/// target); FlexRay mode bounds every message by its static-slot TDMA
-/// latency (cycle + slot — a write that just misses its slot waits one full
-/// communication cycle).
+/// target); FlexRay mode bounds every message by the static-slot TDMA
+/// latency of the configured cycle (cycle + slot — a write that just misses
+/// its slot waits one full communication cycle).
 struct BusSpec {
   std::int64_t can_bitrate_bps = 500'000;
   bool use_flexray = false;
@@ -59,19 +60,24 @@ struct BusSpec {
 struct HolisticResult {
   bool schedulable = false;
   int iterations = 0;
+  /// Effective period of every analysed task: chain heads carry their own,
+  /// a triggered task inherits the smallest period feeding it. A task
+  /// without one (an event task nothing activates) is left out of the
+  /// analysis, and so are the messages it sends.
+  std::map<std::string, Duration> period;
+  /// Worst-case responses when schedulable, measured from the chain head's
+  /// release: a stage's response includes its inherited jitter, which
+  /// carries the whole upstream chain, so a chain's end-to-end latency is
+  /// its tail's response.
   std::map<std::string, Duration> task_response;
   std::map<std::string, Duration> message_response;
-  /// Worst end-to-end latency per chain head task (sum along the chain).
-  std::map<std::string, Duration> chain_latency;
 };
 
 class HolisticModel {
  public:
   void add_task(DistTask task);
-  /// Adds a message and marks `to_task` as triggered by it (the receiver
-  /// inherits period and jitter through the chain). An empty `to_task`
-  /// models pure bus load: the frame contends for the medium but triggers
-  /// no task.
+  /// Adds a message and marks its `to_tasks` as triggered by it (each
+  /// receiver inherits period and jitter through the chain).
   void add_message(DistMessage message);
   /// Adds a local activation edge: `to_task` is released directly by
   /// `from_task` (same-ECU data-received pipeline, no bus hop). The
@@ -79,12 +85,9 @@ class HolisticModel {
   /// release jitter.
   void add_dependency(std::string from_task, std::string to_task);
 
-  /// Run the fixpoint iteration on a CAN bus. `max_iterations` bounds the
-  /// fixpoint; responses beyond 4x period are declared divergent.
-  [[nodiscard]] HolisticResult analyze(std::int64_t can_bitrate_bps,
-                                       int max_iterations = 100) const;
-  /// Run the fixpoint iteration with an explicit bus model (CAN or FlexRay
-  /// static segment).
+  /// Run the fixpoint iteration over `bus` (CAN or FlexRay static segment).
+  /// `max_iterations` bounds the fixpoint; responses beyond 4x period are
+  /// declared divergent.
   [[nodiscard]] HolisticResult analyze(const BusSpec& bus,
                                        int max_iterations = 100) const;
 

@@ -17,7 +17,7 @@ std::optional<Duration> response_time(
       // breaks ties by arrival (incumbent wins), so a peer job released
       // before ours runs first — excluding it would give unsound bounds for
       // same-priority task groups (e.g. data-received event tasks, which
-      // all share DeploymentPlan::data_task_priority on an ECU).
+      // all share one generated priority on an ECU).
       if (j.priority < task.priority || j.name == task.name) continue;
       if (j.period <= 0) continue;
       const Duration interference = (w + j.jitter + j.period - 1) / j.period;

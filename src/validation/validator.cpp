@@ -528,7 +528,7 @@ class Pass {
 
   // --- V4: cross-task data races over the lowered tasks: one per (instance,
   // period) with rate-monotonic priorities per ECU, one event task per
-  // data-received runnable at plan.data_task_priority. Explicit accesses
+  // data-received runnable above every periodic task. Explicit accesses
   // touch live RTE slots, so a preempting writer tears a lower-priority
   // reader (torn read) and two writers in different tasks lose updates;
   // implicit accesses are buffered at task boundaries and pass by

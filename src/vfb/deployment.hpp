@@ -6,17 +6,17 @@
 // deployment (tasks, frames, flows, monitors); vfb::System validates and
 // instantiates that lowering, and validation::validate analyses the same
 // one. Keeping the plan free of generator state lets the validator run
-// without constructing any runtime object.
+// without constructing any runtime object. The plan holds only what an
+// integrator decides: the numbering of generated tasks and frames
+// (priorities, CAN identifiers) is fixed by lower().
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "can/can_bus.hpp"
 #include "flexray/flexray_bus.hpp"
-#include "os/ecu.hpp"
 #include "sim/time.hpp"
 
 namespace orte::vfb {
@@ -25,9 +25,10 @@ enum class BusKind { kCan, kFlexRay };
 
 struct InstanceDeployment {
   std::string ecu;
-  /// Timing-isolation attributes applied to every task of this instance.
+  /// Timing-isolation attributes applied to every task of this instance: a
+  /// job that runs past a positive budget is killed
+  /// (os::OverrunAction::kKillJob); 0 = no budget.
   sim::Duration budget = 0;
-  os::OverrunAction overrun_action = os::OverrunAction::kNone;
   std::string partition;  ///< Partition name on the instance's ECU; "" = none.
 };
 
@@ -54,10 +55,6 @@ struct DeploymentPlan {
   SchedulingPolicy scheduling = SchedulingPolicy::kFixedPriority;
   can::CanConfig can;
   flexray::FlexRayConfig flexray;
-  /// Priority for data-received event tasks (above periodic tasks so network
-  /// deliveries propagate promptly).
-  int data_task_priority = 200;
-  std::uint32_t can_base_id = 0x100;
   /// Generate the runtime-verification layer (rv::MonitorRegistry): deadline
   /// monitors for every generated task plus arrival/latency/automaton
   /// monitors compiled from the model's bound contracts. Monitors are pure

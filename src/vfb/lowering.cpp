@@ -13,9 +13,13 @@ namespace {
 using ContractMap = std::map<std::string, contracts::Contract, std::less<>>;
 
 /// Task numbering of the generated deployment: rate-monotonic priorities
-/// count down from the base, at most this many periodic tasks per ECU.
+/// count down from the base, at most this many periodic tasks per ECU;
+/// data-received event tasks sit above them all, so deliveries propagate
+/// promptly. CAN frame ids count up from the base in rate-monotonic order.
 constexpr int kPeriodicBasePriority = 150;
 constexpr std::size_t kMaxPeriodicTasksPerEcu = 140;
+constexpr int kDataTaskPriority = 200;
+constexpr std::uint32_t kCanBaseId = 0x100;
 
 /// One model instance's resolved type and deployment (null: unresolved).
 struct Inst {
@@ -218,7 +222,7 @@ class Lowerer {
             tasks.events.push_back({.name = "tk|" + name + "|" + r.name,
                                     .instance = name,
                                     .ecu = ecu,
-                                    .priority = plan_.data_task_priority,
+                                    .priority = kDataTaskPriority,
                                     .wcet = wcet,
                                     .runnables = {lr},
                                     .trigger_key = trigger_key});
@@ -372,12 +376,11 @@ class Lowerer {
     for (std::size_t i = 0; i < out_.pdus.size(); ++i) {
       out_.pdus[i].frame_id =
           plan_.bus == BusKind::kCan
-              ? plan_.can_base_id + static_cast<std::uint32_t>(i)
+              ? kCanBaseId + static_cast<std::uint32_t>(i)
               : static_cast<std::uint32_t>(i + 1);  // FlexRay slot id
     }
     out_.bus = plan_.bus;
     out_.can = plan_.can;
-    out_.can_base_id = plan_.can_base_id;
     out_.flexray = plan_.flexray;
     out_.flexray.static_slots =
         std::max(out_.flexray.static_slots, out_.pdus.size());

@@ -198,7 +198,6 @@ struct Lowering {
   /// applied (one static slot per PDU, 8-byte payloads).
   BusKind bus = BusKind::kCan;
   can::CanConfig can;
-  std::uint32_t can_base_id = 0;
   flexray::FlexRayConfig flexray;
   std::vector<FlowEdge> edges;
   std::vector<RunnableIo> runnables;

@@ -26,22 +26,25 @@ System::EcuCtx& System::ctx(const std::string& ecu_name) {
 
 void System::build() {
   // One lowering: the deployment the rules judge is the one instantiated
-  // below. Static end-to-end bounds (holistic fixpoint over its chains) are
-  // computed once: V9 judges them, build_monitors stamps them into each
-  // LatencySpec and analyze() reports them next to the task/PDU responses.
+  // below. Its timing analysis (the holistic fixpoint) runs once: V9 judges
+  // it and build_monitors stamps its chain bounds into each LatencySpec.
   lowering_ = lower(model_, plan_);
-  validation::ChainAnalysis chains =
-      validation::analyze_chains(lowering_, model_.bound_contracts());
-  // Strict-mode static validation: the full rule set runs over the model
-  // *and* the deployment plan before any runtime object exists. Any
-  // error-severity diagnostic aborts generation with the complete rendered
-  // report — the one validation::validate(model, plan) returns; warnings
-  // (e.g. V4 race hazards) and infos are tolerated here.
-  if (const validation::Diagnostics report =
-          validation::validate_lowering(model_, plan_, lowering_, chains);
-      report.has_errors()) {
-    throw std::invalid_argument("System: model validation failed\n" +
-                                report.render());
+  std::vector<validation::ChainBound> bounds;
+  {
+    validation::ChainAnalysis chains =
+        validation::analyze_chains(lowering_, model_.bound_contracts());
+    // Strict-mode static validation: the full rule set runs over the model
+    // *and* the deployment plan before any runtime object exists. Any
+    // error-severity diagnostic aborts generation with the complete
+    // rendered report — the one validation::validate(model, plan) returns;
+    // warnings (e.g. V4 race hazards) and infos are tolerated here.
+    if (const validation::Diagnostics report =
+            validation::validate_lowering(model_, plan_, lowering_, chains);
+        report.has_errors()) {
+      throw std::invalid_argument("System: model validation failed\n" +
+                                  report.render());
+    }
+    bounds = std::move(chains.bounds);  // the responses are freed here
   }
   if (!lowering_.problems.empty()) {
     // The validator rejects everything lower() skips, so reaching this is
@@ -49,7 +52,6 @@ void System::build() {
     throw std::logic_error("internal: " + lowering_.problems.front().message +
                            " escaped validation");
   }
-  chain_bounds_ = std::move(chains.bounds);
   // Instantiation reads only tasks, frames, routes and monitors: free the
   // dataflow and flow resolution now (exchanging, since assigning {} keeps
   // a vector's capacity), so the runtime objects reuse their memory.
@@ -85,11 +87,11 @@ void System::build() {
                                         elem.queue_length, elem.overflow);
   }
   build_tasks();
-  if (plan_.runtime_verification) build_monitors();
+  if (plan_.runtime_verification) build_monitors(bounds);
   if (plan_.alive_supervision) build_alive_supervision();
 
-  // Keep what analyze(), task_of() and fault admission read: the ECUs,
-  // tasks, PDUs and written keys.
+  // Keep what task_of() and fault admission read: the ECUs, tasks, PDUs and
+  // written keys.
   (void)std::exchange(lowering_.inits, {});
   (void)std::exchange(lowering_.signals, {});
   (void)std::exchange(lowering_.routes, {});
@@ -172,7 +174,8 @@ int System::node_of(const std::string& ecu_name) const {
   return -1;
 }
 
-void System::build_monitors() {
+void System::build_monitors(
+    const std::vector<validation::ChainBound>& bounds) {
   registry_ = std::make_unique<rv::MonitorRegistry>(trace_);
   const auto& monitors = lowering_.monitors;
   for (std::size_t i = 0; i < monitors.size(); ++i) {
@@ -219,7 +222,7 @@ void System::build_monitors() {
         // measures sampling age (write -> next periodic activation), which
         // the delivery-path bound deliberately does not claim to cover.
         sim::Duration static_bound = 0;
-        for (const auto& cb : chain_bounds_) {
+        for (const auto& cb : bounds) {
           if (cb.contract == m.contract && cb.instance == m.sink &&
               cb.flow == m.clause->flow && cb.computable &&
               !cb.sink_task.empty()) {
@@ -421,7 +424,10 @@ void System::build_tasks() {
       cfg.name = t.name;
       cfg.priority = t.priority;
       cfg.budget = dep.budget;
-      cfg.overrun_action = dep.overrun_action;
+      // A budget acts only by killing the overrunning job, and kKillJob
+      // acts only against a budget.
+      cfg.overrun_action = dep.budget > 0 ? os::OverrunAction::kKillJob
+                                          : os::OverrunAction::kNone;
       if (!dep.partition.empty()) {
         cfg.partition = c.partition_ids.at(dep.partition);
       }
@@ -490,56 +496,9 @@ void System::run_for(sim::Duration horizon) {
   kernel_.run_until(kernel_.now() + horizon);
 }
 
-SystemAnalysis System::analyze() const {
-  SystemAnalysis out;
-  // Per-ECU task analysis over the generated configuration.
-  for (const auto& ecu_name : lowering_.ecus) {
-    std::vector<analysis::AnalysisTask> local;
-    for (const auto& t : lowering_.tasks) {
-      if (t.ecu != ecu_name) continue;
-      if (t.period <= 0) {
-        out.complete = false;  // event task: needs chain context (holistic)
-        continue;
-      }
-      local.push_back({.name = t.name, .wcet = t.wcet, .period = t.period,
-                       .priority = t.priority});
-    }
-    const auto result = analysis::analyze(local);
-    if (!result.schedulable) out.schedulable = false;
-    for (const auto& [name, r] : result.response) out.task_response[name] = r;
-  }
-  // Bus analysis of the generated PDUs.
-  if (plan_.bus == BusKind::kCan) {
-    std::vector<analysis::CanMessage> msgs;
-    for (const auto& p : lowering_.pdus) {
-      if (p.period == sim::kForever) {
-        out.complete = false;  // event-produced
-        continue;
-      }
-      msgs.push_back({.name = p.name, .id = p.frame_id, .bytes = p.bytes,
-                      .period = p.period});
-    }
-    const auto bus = analysis::analyze_can(msgs, plan_.can.bitrate_bps);
-    if (!bus.schedulable) out.schedulable = false;
-    out.bus_utilization = bus.utilization;
-    for (const auto& [name, r] : bus.response) out.pdu_response[name] = r;
-  } else {
-    // FlexRay static slots: delivery is periodic by construction; the bound
-    // is one cycle + slot regardless of load.
-    const auto slot = flexray::FlexRayBus::slot_length(lowering_.flexray);
-    const auto cycle = flexray::FlexRayBus::cycle_length(lowering_.flexray);
-    const auto& pdus = lowering_.pdus;
-    for (const auto& p : pdus) out.pdu_response[p.name] = cycle + slot;
-    out.bus_utilization =
-        cycle > 0 ? static_cast<double>(
-                        static_cast<sim::Duration>(pdus.size()) * slot) /
-                        static_cast<double>(cycle)
-                  : 0.0;
-  }
-  // End-to-end chain bounds computed at generation time — the static half
-  // of the cross-check against the rv::LatencyMonitor observations.
-  out.chain_bounds = chain_bounds_;
-  return out;
+validation::ChainAnalysis System::analyze() const {
+  return validation::analyze_chains(lower(model_, plan_),
+                                    model_.bound_contracts());
 }
 
 os::Ecu& System::ecu(const std::string& name) { return *ctx(name).ecu; }

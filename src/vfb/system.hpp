@@ -26,8 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "analysis/can_analysis.hpp"
-#include "analysis/rta.hpp"
 #include "bsw/com.hpp"
 #include "bsw/watchdog.hpp"
 #include "can/can_bus.hpp"
@@ -44,22 +42,6 @@
 
 namespace orte::vfb {
 
-/// Design-time verdict over a generated deployment (§2: "prior to
-/// implementation system configuration checks").
-struct SystemAnalysis {
-  bool schedulable = true;
-  /// False when some task or PDU had no analyzable period/WCET (e.g. purely
-  /// event-produced signals): the verdict then covers only the rest.
-  bool complete = true;
-  double bus_utilization = 0.0;
-  std::map<std::string, sim::Duration> task_response;  ///< Worst case, ns.
-  std::map<std::string, sim::Duration> pdu_response;   ///< Worst case, ns.
-  /// Holistic end-to-end bound per contract latency assumption (the static
-  /// half of the static/dynamic cross-check; the same bounds are recorded in
-  /// each rv::LatencyMonitor's spec as `static_bound`).
-  std::vector<validation::ChainBound> chain_bounds;
-};
-
 /// A generated, runnable distributed system.
 class System {
  public:
@@ -68,11 +50,11 @@ class System {
   System(const System&) = delete;
   System& operator=(const System&) = delete;
 
-  /// Run the schedulability analyses over the deployment the generator just
-  /// built: per-ECU response-time analysis of the generated tasks (WCET
-  /// bounds from the runnables) and, on CAN, the Davis analysis of the
-  /// generated PDUs. Call before start() to verify the configuration.
-  [[nodiscard]] SystemAnalysis analyze() const;
+  /// The configuration check (§2): validation::analyze_chains over
+  /// lower(model, plan), the same analysis of the same lowering V9 judged at
+  /// construction. Recomputed on every call, so the system keeps no
+  /// analysis state; call before start() to verify the configuration.
+  [[nodiscard]] validation::ChainAnalysis analyze() const;
 
   /// Start all ECUs, COM stacks and the bus; then advance simulated time.
   void start();
@@ -98,9 +80,9 @@ class System {
   [[nodiscard]] std::size_t signal_count() const;
 
   /// The lowered deployment this system instantiated. Once built it keeps
-  /// only what analyze(), task_of() and fault admission
-  /// (validation::check_faults) read: `ecus`, `tasks`, `pdus`, `written`
-  /// and the bus configuration; every other list is released.
+  /// only what task_of() and fault admission (validation::check_faults)
+  /// read: `ecus`, `tasks`, `pdus`, `written` and the bus configuration;
+  /// every other list is released.
   [[nodiscard]] const Lowering& lowering() const { return lowering_; }
 
   // --- Runtime verification (rv layer) ---------------------------------------
@@ -134,7 +116,9 @@ class System {
   void build();
   void build_com();
   void build_tasks();
-  void build_monitors();
+  /// `bounds` are the holistic chain bounds V9 judged; each latency
+  /// monitor records its chain's bound.
+  void build_monitors(const std::vector<validation::ChainBound>& bounds);
   /// Bind watchdog alive supervision of the lowered heartbeats (the fail-
   /// silence detector; plan_.alive_supervision opt-in), one WatchdogManager
   /// per producing ECU; expiries become rv "alive" violations.
@@ -164,9 +148,6 @@ class System {
   /// Interned subject ID of a supervised key -> the watchdog to checkpoint.
   std::unordered_map<sim::TraceId, bsw::WatchdogManager*> checkpoint_routes_;
   bool started_ = false;
-  /// Holistic end-to-end bounds, one per contract latency assumption: the
-  /// validation::analyze_chains result V9 judged at construction.
-  std::vector<validation::ChainBound> chain_bounds_;
 };
 
 }  // namespace orte::vfb

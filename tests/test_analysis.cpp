@@ -109,6 +109,18 @@ TEST(CanAnalysis, InterferenceFromHigherPriority) {
   EXPECT_EQ(can_response_time(msgs[1], msgs, 500'000), microseconds(540));
 }
 
+TEST(CanAnalysis, EqualIdentifiersWaitForEachOther) {
+  // Two signals of one PDU share its identifier: their frames queue FIFO in
+  // one controller, so each may wait for the other's.
+  std::vector<CanMessage> msgs{
+      {.name = "a", .id = 5, .bytes = 8, .period = milliseconds(10)},
+      {.name = "b", .id = 5, .bytes = 8, .period = milliseconds(10)},
+  };
+  // w = 270us (the other frame), R = w + C = 540us.
+  EXPECT_EQ(can_response_time(msgs[0], msgs, 500'000), microseconds(540));
+  EXPECT_EQ(can_response_time(msgs[1], msgs, 500'000), microseconds(540));
+}
+
 TEST(CanAnalysis, OverloadedBusUnschedulable) {
   std::vector<CanMessage> msgs;
   for (int i = 0; i < 10; ++i) {
@@ -146,10 +158,12 @@ TEST(FlexRayAnalysis, StaticBoundsMatchStructure) {
   cfg.minislots = 20;
   cfg.minislot_len = microseconds(2);
   cfg.network_idle = microseconds(10);
-  const auto lat = flexray_static_latency(cfg, 1);
-  EXPECT_EQ(lat.best, flexray_slot_length(cfg));
-  EXPECT_EQ(lat.worst, flexray_cycle_length(cfg) + flexray_slot_length(cfg));
-  EXPECT_EQ(lat.write_to_delivery_jitter, flexray_cycle_length(cfg));
+  const auto lat = flexray_static_latency(cfg);
+  const auto slot = orte::flexray::FlexRayBus::slot_length(cfg);
+  const auto cycle = orte::flexray::FlexRayBus::cycle_length(cfg);
+  EXPECT_EQ(lat.best, slot);
+  EXPECT_EQ(lat.worst, cycle + slot);
+  EXPECT_EQ(lat.write_to_delivery_jitter, cycle);
 }
 
 TEST(FlexRayAnalysis, DynamicFitsFirstCycle) {

@@ -349,7 +349,7 @@ struct StaticDigests {
   std::uint64_t detectability = 0;
 };
 
-std::string render_analysis(const vfb::SystemAnalysis& a) {
+std::string render_analysis(const validation::ChainAnalysis& a) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", a.bus_utilization);
   std::string out = "schedulable=" + std::to_string(a.schedulable) +
@@ -361,7 +361,7 @@ std::string render_analysis(const vfb::SystemAnalysis& a) {
   for (const auto& [name, r] : a.pdu_response) {
     out += "pdu " + name + " " + std::to_string(r) + "\n";
   }
-  for (const auto& cb : a.chain_bounds) {
+  for (const auto& cb : a.bounds) {
     out += "chain " + cb.contract + " " + cb.instance + " " + cb.flow + " [" +
            cb.sink_task + "] " + std::to_string(cb.deadline) + " " +
            std::to_string(cb.bound) + " " + std::to_string(cb.computable) +
@@ -422,29 +422,58 @@ void expect_static(const StaticDigests& got, std::uint64_t report,
   EXPECT_EQ(hex(got.detectability), hex(detectability));
 }
 
-TEST(GoldenDiagnostics, Pipelines64) {
+/// The E8b pipelines, all 64 on one ECU.
+vfb::DeploymentPlan pipelines64_plan() {
   vfb::DeploymentPlan plan;
   for (int i = 0; i < 64; ++i) {
     plan.instances["sensor" + std::to_string(i)] = {.ecu = "ecu0"};
     plan.instances["filter" + std::to_string(i)] = {.ecu = "ecu0"};
   }
-  expect_static(static_digests(pipeline_model(64, false), plan),
+  return plan;
+}
+
+TEST(GoldenDiagnostics, Pipelines64) {
+  expect_static(static_digests(pipeline_model(64, false), pipelines64_plan()),
                 0x24aeca73e3d7780eull, 0x41021c4f8395c33aull,
-                0xf996cd135f57fbfaull, 0xc7cf21cbe396a3c8ull);
+                0x841c8db390a8b20dull, 0xc7cf21cbe396a3c8ull);
+}
+
+/// The configuration check bounds every task of the pinned E8b model, the
+/// 64 filter event tasks included; those run above the sensors, so every
+/// sensor's bound must count them.
+TEST(ConfigurationCheck, Pipelines64BoundsEverySimulatedResponse) {
+  const vfb::Composition model = pipeline_model(64, false);
+  sim::Kernel kernel;
+  sim::Trace trace;
+  trace.enable_retention(false);
+  vfb::System sys(kernel, trace, model, pipelines64_plan());
+  const validation::ChainAnalysis verdict = sys.analyze();
+  ASSERT_TRUE(verdict.schedulable);
+  EXPECT_TRUE(verdict.complete);
+  sys.run_for(milliseconds(100));
+  const auto& tasks = sys.ecu("ecu0").tasks();
+  ASSERT_EQ(tasks.size(), 128u);
+  for (const auto& task : tasks) {
+    const auto bound = verdict.task_response.find(task->name());
+    ASSERT_NE(bound, verdict.task_response.end()) << task->name();
+    EXPECT_GT(task->jobs_completed(), 0u) << task->name();
+    EXPECT_LE(task->response_times().max(), sim::to_ms(bound->second) + 1e-9)
+        << task->name();
+  }
 }
 
 TEST(GoldenDiagnostics, BrakeByWire) {
   const fi::ModelBundle bundle = fi::workloads::brake_by_wire(false);
   expect_static(static_digests(bundle.model, bundle.plan),
                 0x9ec75ed963ecf68aull, 0x9bfc1e78fbef0054ull,
-                0xa0354aff0010ea2aull, 0x11d5e49d71609ca3ull);
+                0x39061ff972e523a5ull, 0x11d5e49d71609ca3ull);
 }
 
 TEST(GoldenDiagnostics, BrakeByWireAliveSupervision) {
   const fi::ModelBundle bundle = fi::workloads::brake_by_wire(true);
   expect_static(static_digests(bundle.model, bundle.plan),
                 0x45db2a2c9809f5a6ull, 0x699b40b32cd60830ull,
-                0xa0354aff0010ea2aull, 0xadd8460bf9961a31ull);
+                0x39061ff972e523a5ull, 0xadd8460bf9961a31ull);
 }
 
 /// Three-ECU chain: two sensors on ecu_a (one explicit 16-bit flow at 5 ms,
@@ -581,14 +610,14 @@ vfb::DeploymentPlan chain_plan(vfb::BusKind bus) {
 TEST(GoldenDiagnostics, CanChain) {
   expect_static(
       static_digests(chain_model(), chain_plan(vfb::BusKind::kCan)),
-      0xcf703da91cccc0e1ull, 0x58bbfdb03c9a0e84ull, 0xbc4f2e0c7fb9dc80ull,
+      0x69ac35b777c435ceull, 0x92b2ff97ffac54f1ull, 0x76842614f0c15363ull,
       0x6ff1219f26121fd7ull);
 }
 
 TEST(GoldenDiagnostics, FlexRayChain) {
   expect_static(
       static_digests(chain_model(), chain_plan(vfb::BusKind::kFlexRay)),
-      0x0bea81692da2d741ull, 0x78343f82d39cbaa3ull, 0x755d381d706bdc62ull,
+      0x0bea81692da2d741ull, 0x78343f82d39cbaa3ull, 0x366b60c59f80c675ull,
       0x3bfd55958908f41full);
 }
 
@@ -693,7 +722,7 @@ TEST(GoldenDiagnostics, TimeTriggeredRaces) {
     plan.instances[inst] = {.ecu = "tt_ecu"};
   }
   expect_static(static_digests(model, plan), 0x1a4bd4bc317dfb81ull,
-                0x83b82c0730cfe56eull, 0xccb3a8f3e11ae26dull,
+                0x83b82c0730cfe56eull, 0x6f4999c1866c95f6ull,
                 0x6ab282131ec53f6bull);
 }
 

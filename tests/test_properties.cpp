@@ -390,7 +390,7 @@ TEST_P(FlexRayBoundProperty, ObservedLatencyWithinAnalyticBounds) {
   const auto slot =
       static_cast<std::uint32_t>(1 + rng.index(cfg.static_slots));
   bus.assign_static_slot(slot, tx);
-  const auto bound = analysis::flexray_static_latency(cfg, slot);
+  const auto bound = analysis::flexray_static_latency(cfg);
   sim::Duration worst = 0;
   rx.on_receive([&](const net::Frame& f) {
     worst = std::max(worst, kernel.now() - f.enqueued_at);
@@ -560,9 +560,9 @@ TEST_P(HolisticSoundness, ChainBoundsDominateSimulatedLatencies) {
                     .priority = static_cast<int>(100 - i)});
     model.add_message({.name = "m" + std::to_string(i), .id = ch.id,
                        .bytes = 8, .from_task = "s" + std::to_string(i),
-                       .to_task = "r" + std::to_string(i)});
+                       .to_tasks = {"r" + std::to_string(i)}});
   }
-  const auto result = model.analyze(kBitrate);
+  const auto result = model.analyze({.can_bitrate_bps = kBitrate});
   if (!result.schedulable) GTEST_SKIP() << "random set unschedulable";
 
   // Executable equivalent on the raw OS + CAN substrates.
@@ -626,7 +626,8 @@ TEST_P(HolisticSoundness, ChainBoundsDominateSimulatedLatencies) {
   kernel.run_until(milliseconds(400));
 
   for (std::size_t i = 0; i < n; ++i) {
-    const auto bound = result.chain_latency.at("s" + std::to_string(i));
+    // The chain tail's response, measured from the head's release.
+    const auto bound = result.task_response.at("r" + std::to_string(i));
     EXPECT_LE(observed_worst_ms[i], sim::to_ms(bound) + 1e-9)
         << "chain " << i << " seed=" << GetParam();
     EXPECT_GT(observed_worst_ms[i], 0.0);
@@ -765,8 +766,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ValidatorCompleteness,
 //
 // Property: for every random multi-ECU chain model the generator accepts,
 // the holistic V9 bound stamped into each rv::LatencyMonitor dominates the
-// latency that monitor actually observes over a long run — the static
-// analysis is sound w.r.t. the executable system it was derived from.
+// latency that monitor actually observes over a long run, and
+// System::analyze() bounds the response of every generated task — the
+// static analysis is sound w.r.t. the executable system it was derived
+// from.
 
 class ChainBoundFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -861,10 +864,23 @@ TEST_P(ChainBoundFuzz, StaticChainBoundDominatesObservedLatency) {
   }
   // Every computable event-sink chain bound must have reached its monitor.
   std::size_t computable = 0;
-  for (const auto& cb : analysis.chain_bounds) {
+  for (const auto& cb : analysis.bounds) {
     if (cb.computable && !cb.sink_task.empty()) ++computable;
   }
   EXPECT_EQ(checked, computable) << "seed=" << GetParam();
+  // The configuration check bounds every generated task, event tasks
+  // included, and each bound dominates the task's simulated response.
+  EXPECT_TRUE(analysis.complete) << "seed=" << GetParam();
+  for (const auto& ecu : sys.ecu_names()) {
+    for (const auto& task : sys.ecu(ecu).tasks()) {
+      const auto bound = analysis.task_response.find(task->name());
+      ASSERT_NE(bound, analysis.task_response.end())
+          << task->name() << " seed=" << GetParam();
+      EXPECT_LE(task->response_times().max(),
+                sim::to_ms(bound->second) + 1e-9)
+          << task->name() << " seed=" << GetParam();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChainBoundFuzz,
