@@ -9,10 +9,8 @@
 namespace orte::analysis {
 
 void HolisticModel::add_task(DistTask task) {
-  for (const auto& t : tasks_) {
-    if (t.name == task.name) {
-      throw std::invalid_argument("duplicate task " + task.name);
-    }
+  if (!task_of_.try_emplace(task.name, tasks_.size()).second) {
+    throw std::invalid_argument("duplicate task " + task.name);
   }
   tasks_.push_back(std::move(task));
 }
@@ -30,10 +28,9 @@ void HolisticModel::add_dependency(std::string from_task, std::string to_task) {
 }
 
 const DistTask& HolisticModel::task(const std::string& name) const {
-  for (const auto& t : tasks_) {
-    if (t.name == name) return t;
-  }
-  throw std::invalid_argument("unknown task " + name);
+  const auto it = task_of_.find(name);
+  if (it == task_of_.end()) throw std::invalid_argument("unknown task " + name);
+  return tasks_[it->second];
 }
 
 HolisticResult HolisticModel::analyze(const BusSpec& bus,

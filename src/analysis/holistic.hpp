@@ -14,7 +14,7 @@
 // inherits the producer's response time directly), which couples all
 // node-local analyses; the coupled system is solved by fixpoint iteration.
 // Responses are monotone in jitter, so the iteration converges or provably
-// diverges past a deadline.
+// diverges past a deadline. Tasks are indexed by name.
 #pragma once
 
 #include <map>
@@ -98,6 +98,7 @@ class HolisticModel {
   };
 
   std::vector<DistTask> tasks_;
+  std::map<std::string, std::size_t> task_of_;  ///< Name -> index in tasks_.
   std::vector<DistMessage> messages_;
   std::vector<Dependency> dependencies_;
 

@@ -1,5 +1,7 @@
 #include "validation/detectability.hpp"
 
+#include "validation/flow_analysis.hpp"
+
 #include <algorithm>
 #include <cstdio>
 #include <set>
@@ -217,34 +219,6 @@ std::vector<Plane> build_planes(const World& w) {
 
 // --- Fault -> perturbation set ------------------------------------------------
 
-/// Value-perturbation fixpoint over the V8 relay structure: a perturbed
-/// sender key perturbs every receiver slot its edges feed; a runnable
-/// reading a perturbed slot perturbs everything it writes.
-void propagate_values(const World& w, std::set<std::string>& writes,
-                      std::set<std::string>& delivers) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const auto& e : w.lowering.edges) {
-      if (writes.count(e.producer_key) != 0 &&
-          delivers.insert(e.receiver_key).second) {
-        changed = true;
-      }
-    }
-    for (const auto& rf : w.lowering.runnables) {
-      const bool tainted_read =
-          std::any_of(rf.reads.begin(), rf.reads.end(),
-                      [&delivers](const std::string& r) {
-                        return delivers.count(r) != 0;
-                      });
-      if (!tainted_read) continue;
-      for (const auto& wkey : rf.writes) {
-        if (writes.insert(wkey).second) changed = true;
-      }
-    }
-  }
-}
-
 /// Cross-ECU edges a frame fault hits: those carrying a signal of a PDU
 /// the target names (vfb::key_matches, the rule the injector matches frame
 /// names with; an empty target hits every PDU).
@@ -271,13 +245,20 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
     atoms.insert(
         Atom{Atom::Kind::kDelivery, e.producer_key + " -> " + e.dst_instance});
   };
-  const auto add_values = [&atoms](const std::set<std::string>& writes,
-                                   const std::set<std::string>& delivers) {
-    for (const auto& k : writes) {
-      atoms.insert(Atom{Atom::Kind::kWriteValue, k});
+  // A perturbed value travels the slot dataflow: every written key it
+  // reaches publishes it, every receiver slot it reaches delivers it.
+  const auto add_values = [&atoms, &l = w.lowering](
+                              const std::vector<std::string_view>& seeds) {
+    const auto reached = reach(l, seeds, /*forward=*/true);
+    for (const std::string_view k : reached) {
+      if (std::binary_search(l.written.begin(), l.written.end(), k)) {
+        atoms.insert(Atom{Atom::Kind::kWriteValue, std::string(k)});
+      }
     }
-    for (const auto& k : delivers) {
-      atoms.insert(Atom{Atom::Kind::kDeliverValue, k});
+    for (const auto& e : l.edges) {
+      if (reached.count(e.receiver_key) != 0) {
+        atoms.insert(Atom{Atom::Kind::kDeliverValue, e.receiver_key});
+      }
     }
   };
   switch (f.kind) {
@@ -286,13 +267,11 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
       for (const vfb::FlowEdge* e : frame_edges(f, w)) add_delivery(*e);
       break;
     case fi::FaultKind::kFrameCorrupt: {
-      std::set<std::string> writes;
-      std::set<std::string> delivers;
+      std::vector<std::string_view> delivers;
       for (const vfb::FlowEdge* e : frame_edges(f, w)) {
-        delivers.insert(e->receiver_key);
+        delivers.push_back(e->receiver_key);
       }
-      propagate_values(w, writes, delivers);
-      add_values(writes, delivers);
+      add_values(delivers);
       break;
     }
     case fi::FaultKind::kBabblingIdiot:
@@ -307,15 +286,11 @@ std::set<Atom> perturbation_of(const fi::Fault& f, const World& w,
       break;
     case fi::FaultKind::kValueCorrupt:
     case fi::FaultKind::kStuckAt: {
-      std::set<std::string> writes;
-      std::set<std::string> delivers;
-      for (const auto& [instance, keys] : w.writes_of) {
-        for (const auto& key : keys) {
-          if (vfb::key_matches(f.target, key)) writes.insert(key);
-        }
+      std::vector<std::string_view> writes;
+      for (const auto& key : w.lowering.written) {
+        if (vfb::key_matches(f.target, key)) writes.push_back(key);
       }
-      propagate_values(w, writes, delivers);
-      add_values(writes, delivers);
+      add_values(writes);
       break;
     }
     case fi::FaultKind::kTaskCrash: {

@@ -6,7 +6,7 @@
 // same verdicts *statically*, before any simulation: for each fi::Fault
 // plane it derives the set of trace observables the fault perturbs (frame
 // delivery, `rte.write`/`rte.deliver` values, task timing, clock skew),
-// propagates value perturbations along the lowered slot dataflow, and
+// propagates value perturbations with validation::reach (V12's closure), and
 // intersects the result with the lowered monitor inventory — the one
 // vfb::System compiles — including the instance each monitor blames:
 //

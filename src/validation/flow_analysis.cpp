@@ -1,9 +1,9 @@
 #include "validation/flow_analysis.hpp"
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -125,6 +125,35 @@ std::map<std::string, AbsVal> propagate_ranges(const vfb::Lowering& g,
 }
 
 }  // namespace
+
+std::unordered_set<std::string_view> reach(
+    const vfb::Lowering& lowering, const std::vector<std::string_view>& seeds,
+    bool forward) {
+  std::unordered_set<std::string_view> reached(seeds.begin(), seeds.end());
+  const auto any_reached = [&reached](const std::vector<std::string>& keys) {
+    return std::any_of(keys.begin(), keys.end(), [&](const std::string& k) {
+      return reached.count(k) != 0;
+    });
+  };
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const auto& rf : lowering.runnables) {
+      if (!any_reached(forward ? rf.reads : rf.writes)) continue;
+      for (const auto& k : forward ? rf.writes : rf.reads) {
+        changed = reached.insert(k).second || changed;
+      }
+    }
+    for (const auto& e : lowering.edges) {
+      if (reached.count(forward ? e.producer_key : e.receiver_key) != 0) {
+        changed =
+            reached.insert(forward ? e.receiver_key : e.producer_key).second ||
+            changed;
+      }
+    }
+  }
+  return reached;
+}
 
 ChainAnalysis analyze_chains(const vfb::Lowering& lowering,
                              const ContractMap& contracts) {
@@ -328,75 +357,48 @@ void check_flow_ranges(const vfb::Lowering& g, const ContractMap& contracts,
   }
 
   // --- V12: liveness on the same graph ------------------------------------
-  // Forward: can a slot's value ever change after init? Autonomous writers
-  // (no reads) produce; relays produce iff some input does.
-  std::map<std::string, bool> productive;
-  const auto prod = [&](const std::string& key) {
-    const auto it = productive.find(key);
-    return it != productive.end() && it->second;
-  };
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const auto raise = [&](const std::string& key, bool v) {
-      if (v && !prod(key)) {
-        productive[key] = true;
-        changed = true;
-      }
-    };
-    for (const auto& rf : g.runnables) {
-      bool produces = rf.reads.empty();
-      for (const auto& read : rf.reads) produces = produces || prod(read);
-      for (const auto& w : rf.writes) raise(w, produces);
+  // Productive: slots whose value can change after init, reached forward
+  // from the writes of autonomous writers (no reads). Consumed: slots whose
+  // value reaches a terminal consumer, reached backward from the reads of
+  // runnables that write nothing.
+  std::vector<std::string_view> sources;
+  std::vector<std::string_view> sinks;
+  std::unordered_set<std::string_view> read;
+  for (const auto& rf : g.runnables) {
+    if (rf.reads.empty()) {
+      sources.insert(sources.end(), rf.writes.begin(), rf.writes.end());
     }
-    for (const auto& e : g.edges) raise(e.receiver_key, prod(e.producer_key));
-  }
-  // Backward: does a written value ever reach a terminal consumer? A reader
-  // that writes nothing consumes; a relay consumes iff something it writes
-  // is consumed downstream.
-  std::map<std::string, bool> consumed;
-  const auto cons = [&](const std::string& key) {
-    const auto it = consumed.find(key);
-    return it != consumed.end() && it->second;
-  };
-  changed = true;
-  while (changed) {
-    changed = false;
-    const auto raise = [&](const std::string& key, bool v) {
-      if (v && !cons(key)) {
-        consumed[key] = true;
-        changed = true;
-      }
-    };
-    for (const auto& rf : g.runnables) {
-      bool consumes = rf.writes.empty();
-      for (const auto& w : rf.writes) consumes = consumes || cons(w);
-      for (const auto& read : rf.reads) raise(read, consumes);
+    if (rf.writes.empty()) {
+      sinks.insert(sinks.end(), rf.reads.begin(), rf.reads.end());
     }
-    for (const auto& e : g.edges) raise(e.producer_key, cons(e.receiver_key));
+    read.insert(rf.reads.begin(), rf.reads.end());
   }
+  const std::unordered_set<std::string_view> productive =
+      reach(g, sources, /*forward=*/true);
+  const std::unordered_set<std::string_view> consumed =
+      reach(g, sinks, /*forward=*/false);
 
   // Fire only where V3 stays silent: the immediate link is fine, the chain
-  // beyond it is dead. One diagnostic per slot.
-  std::set<std::string> fed;  // required slots a connector feeds
-  for (const auto& e : g.edges) fed.insert(e.receiver_key);
-  std::set<std::string> reported;
+  // beyond it is dead. A read must be fed by a written sender key, and a
+  // write delivered to a slot some runnable reads (else V3 flags the
+  // element); V12 adds the *transitive* case. One diagnostic per slot.
+  std::unordered_set<std::string_view> fed_by_written;
+  std::unordered_set<std::string_view> delivered_and_read;
+  for (const auto& e : g.edges) {
+    if (std::binary_search(g.written.begin(), g.written.end(),
+                           e.producer_key)) {
+      fed_by_written.insert(e.receiver_key);
+    }
+    if (read.count(e.receiver_key) != 0) {
+      delivered_and_read.insert(e.producer_key);
+    }
+  }
+  std::unordered_set<std::string_view> reported;
   for (const auto& rf : g.runnables) {
-    for (const auto& read : rf.reads) {
-      if (prod(read) || !fed.count(read)) continue;  // unfed: V3 warning
-      // The feeding slot must itself be written (else V3 flags the element
-      // as never written) — V12 adds the *transitive* case.
-      bool fed_by_written = false;
-      for (const auto& e : g.edges) {
-        if (e.receiver_key == read &&
-            std::binary_search(g.written.begin(), g.written.end(),
-                               e.producer_key)) {
-          fed_by_written = true;
-        }
-      }
-      if (!fed_by_written) continue;
-      if (!reported.insert(read).second) continue;
-      out.add("V12", Severity::kWarning, read,
+    for (const auto& r : rf.reads) {
+      if (productive.count(r) != 0 || fed_by_written.count(r) == 0) continue;
+      if (!reported.insert(r).second) continue;
+      out.add("V12", Severity::kWarning, r,
               "dead flow: the value read here can never change — every "
               "transitive source only relays initial values",
               "the relay chain upstream has no autonomous producer; connect "
@@ -404,21 +406,8 @@ void check_flow_ranges(const vfb::Lowering& g, const ContractMap& contracts,
     }
   }
   for (const auto& rf : g.runnables) {
-    for (std::size_t i = 0; i < rf.writes.size(); ++i) {
-      const std::string& w = rf.writes[i];
-      if (cons(w)) continue;
-      // Only when the write is connected and its elements are read by the
-      // immediate receiver (both V3-silent): the dead end is further down.
-      bool delivered_and_read = false;
-      for (const auto& e : g.edges) {
-        if (e.producer_key != w) continue;
-        for (const auto& other : g.runnables) {
-          for (const auto& read : other.reads) {
-            if (read == e.receiver_key) delivered_and_read = true;
-          }
-        }
-      }
-      if (!delivered_and_read) continue;
+    for (const auto& w : rf.writes) {
+      if (consumed.count(w) != 0 || delivered_and_read.count(w) == 0) continue;
       if (!reported.insert(w).second) continue;
       out.add("V12", Severity::kInfo, w,
               "dead flow: this write is relayed downstream but no terminal "

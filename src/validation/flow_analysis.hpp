@@ -23,11 +23,11 @@
 //  V11 budget consistency      — generated per-instance load and per-ECU /
 //                                per-bus sums against the contracts'
 //                                vertical ResourceSpec assumptions.
-//  V12 dead flows              — liveness on the V8 dataflow graph: reads
-//                                whose transitive source never produces
-//                                fresh data, and writes whose values
-//                                dead-end in relay chains (both only where
-//                                the local rule V3 stays silent).
+//  V12 dead flows              — liveness on the V8 dataflow graph, one
+//                                reach() each way: reads whose transitive
+//                                source never produces fresh data, and
+//                                writes whose values dead-end in relay
+//                                chains (both only where V3 stays silent).
 //
 // Every pass reads one vfb::Lowering of the model, the same derivation
 // vfb::System instantiates. analyze_chains() is the only timing analysis of
@@ -39,6 +39,8 @@
 
 #include <map>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "contracts/contract.hpp"
@@ -87,6 +89,16 @@ struct ChainAnalysis {
   std::map<std::string, sim::Duration> pdu_response;
   std::vector<ChainBound> bounds;  ///< One entry per latency assumption.
 };
+
+/// The one closure over the lowered slot dataflow: every slot key the
+/// `seeds` reach. Forward, a connector edge carries its producer key to its
+/// receiver key, and a runnable that reads a reached key reaches every key it
+/// writes; backward, the same links run in reverse. The keys view strings of
+/// `lowering` or what `seeds` view. V12 and the detectability analysis
+/// (V13-V15) read it.
+[[nodiscard]] std::unordered_set<std::string_view> reach(
+    const vfb::Lowering& lowering, const std::vector<std::string_view>& seeds,
+    bool forward);
 
 /// Fold the lowered deployment into the holistic fixpoint: every task; one
 /// message per signal, carrying its PDU's frame id and length (COM signals

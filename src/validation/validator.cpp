@@ -17,34 +17,18 @@ using vfb::ComponentType;
 using vfb::Composition;
 using vfb::Connector;
 using vfb::DataAccessKind;
-using vfb::DataElement;
 using vfb::DeploymentPlan;
 using vfb::InstanceDeployment;
-using vfb::Operation;
 using vfb::Port;
 using vfb::PortDirection;
 using vfb::PortInterface;
 using vfb::Runnable;
 using vfb::RunnableTrigger;
 
+using vfb::find_element;
+using vfb::find_operation;
 using vfb::find_port;
 using vfb::is_write;
-
-const DataElement* find_element(const PortInterface& iface,
-                                std::string_view name) {
-  for (const auto& e : iface.elements) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-const Operation* find_operation(const PortInterface& iface,
-                                std::string_view name) {
-  for (const auto& o : iface.operations) {
-    if (o.name == name) return &o;
-  }
-  return nullptr;
-}
 
 std::string dot(std::string_view a, std::string_view b) {
   return std::string(a) + "." + std::string(b);
@@ -93,8 +77,18 @@ class Pass {
 
  private:
   // --- V1/V2/V5: every name a type mentions must resolve; accesses and
-  // triggers must agree with port kind and direction; timing must be sane.
+  // triggers must agree with port kind and direction; elements must fit a
+  // COM signal; timing must be sane.
   void check_type_references() {
+    for (const auto& [iname, iface] : model_.interfaces()) {
+      for (const auto& e : iface.elements) {
+        if (e.bit_length >= 1 && e.bit_length <= 64) continue;
+        out_.add("V2", Severity::kError, dot(iname, e.name),
+                 "element " + e.name + " is " + std::to_string(e.bit_length) +
+                     " bits wide; a COM signal carries 1..64 bits",
+                 "set DataElement::bit_length within 1..64");
+      }
+    }
     for (const auto& [tname, type] : model_.types()) {
       for (const auto& p : type.ports) {
         if (model_.find_interface(p.interface) == nullptr) {
@@ -462,8 +456,8 @@ class Pass {
     }
   }
 
-  // --- V1/V2/V5 (plan level): every instance deployed, partitions resolve,
-  // client-server connectors stay on one ECU, per-ECU task budget holds.
+  // --- V1/V2/V5 (plan level): every instance deployed, client-server
+  // connectors stay on one ECU, per-ECU task budget holds.
   void check_deployment(const vfb::Lowering& lowering) {
     for (const auto& inst : model_.instances()) {
       const auto it = plan_->instances.find(inst.name);
@@ -473,21 +467,7 @@ class Pass {
                  "plan.instances[\"" + inst.name + "\"] = {.ecu = ...}");
         continue;
       }
-      const InstanceDeployment& dep = it->second;
-      if (!dep.partition.empty()) {
-        const bool found = std::any_of(
-            plan_->partitions.begin(), plan_->partitions.end(),
-            [&](const vfb::PartitionSpec& p) {
-              return p.name == dep.partition && p.ecu == dep.ecu;
-            });
-        if (!found) {
-          out_.add("V1", Severity::kError, inst.name,
-                   "instance assigned to unknown partition " + dep.partition +
-                       " on ECU " + dep.ecu,
-                   "declare the partition in plan.partitions");
-        }
-      }
-      check_budget(inst.name, dep);
+      check_budget(inst.name, it->second);
     }
     for (const auto& [name, dep] : plan_->instances) {
       if (model_.find_instance(name) == nullptr) {

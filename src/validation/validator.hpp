@@ -12,13 +12,14 @@
 //
 // Rule inventory (IDs are stable; DESIGN.md carries the full table):
 //  V1 dangling references  — names in instances, ports, accesses, triggers,
-//                            connectors, server calls, deployments and
-//                            partitions that do not resolve.
+//                            connectors, server calls and deployments that
+//                            do not resolve.
 //  V2 connector typing     — provided->required direction, interface
 //                            agreement (kind / element set named in the
 //                            mismatch message), single feed per required
 //                            port, access-direction rules, same-ECU
-//                            client-server connectors.
+//                            client-server connectors, element widths
+//                            outside a COM signal's 1..64 bits.
 //  V3 connectivity         — unconnected required ports that are read,
 //                            never-written / never-read elements, server
 //                            calls on unconnected ports.

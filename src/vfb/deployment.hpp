@@ -1,8 +1,8 @@
 // Deployment plan: the mapping side of the AUTOSAR methodology (§2).
 //
 // A DeploymentPlan assigns component instances to ECUs, picks the backbone
-// bus and scheduling policy, and attaches timing-isolation attributes
-// (budgets, partitions). vfb::lower() turns Composition + plan into the
+// bus and scheduling policy, and attaches a timing-isolation attribute
+// (execution budgets). vfb::lower() turns Composition + plan into the
 // deployment (tasks, frames, flows, monitors); vfb::System validates and
 // instantiates that lowering, and validation::validate analyses the same
 // one. Keeping the plan free of generator state lets the validator run
@@ -13,7 +13,6 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "can/can_bus.hpp"
 #include "flexray/flexray_bus.hpp"
@@ -29,14 +28,6 @@ struct InstanceDeployment {
   /// job that runs past a positive budget is killed
   /// (os::OverrunAction::kKillJob); 0 = no budget.
   sim::Duration budget = 0;
-  std::string partition;  ///< Partition name on the instance's ECU; "" = none.
-};
-
-struct PartitionSpec {
-  std::string ecu;
-  std::string name;
-  sim::Duration budget = 0;
-  sim::Duration period = 0;
 };
 
 enum class SchedulingPolicy {
@@ -50,7 +41,6 @@ enum class SchedulingPolicy {
 
 struct DeploymentPlan {
   std::map<std::string, InstanceDeployment> instances;
-  std::vector<PartitionSpec> partitions;
   BusKind bus = BusKind::kCan;
   SchedulingPolicy scheduling = SchedulingPolicy::kFixedPriority;
   can::CanConfig can;

@@ -44,13 +44,6 @@ class Lowerer {
     }
     out_.runnables.reserve(runnables);
     out_.tasks.reserve(runnables);
-    // The feeding connector of each required port (the first one, as
-    // Composition::connection_to answers).
-    for (const auto& c : model_.connectors()) {
-      feed_.emplace(std::make_pair(std::string_view(c.to_instance),
-                                   std::string_view(c.to_port)),
-                    &c);
-    }
     std::set<std::string> ecus;
     for (const auto& [instance, dep] : plan_.instances) ecus.insert(dep.ecu);
     out_.ecus.assign(ecus.begin(), ecus.end());
@@ -103,11 +96,6 @@ class Lowerer {
     const auto it = insts_.find(name);
     return it == insts_.end() ? nullptr : &it->second;
   }
-  const Connector* feeding(std::string_view instance,
-                           std::string_view port) const {
-    const auto it = feed_.find({instance, port});
-    return it == feed_.end() ? nullptr : it->second;
-  }
 
   /// Summed WCET of the synchronous server operations `r` declares, taken
   /// from the caller port's interface. Calls the generator cannot inline
@@ -128,20 +116,15 @@ class Lowerer {
                           : find_port(type, call.substr(0, sep));
       const PortInterface* iface =
           p == nullptr ? nullptr : model_.find_interface(p->interface);
-      const Operation* op = nullptr;
-      for (std::size_t i = 0; iface != nullptr && op == nullptr &&
-                              i < iface->operations.size();
-           ++i) {
-        if (iface->operations[i].name == call.substr(sep + 1)) {
-          op = &iface->operations[i];
-        }
-      }
+      const Operation* op =
+          iface == nullptr ? nullptr
+                           : find_operation(*iface, call.substr(sep + 1));
       if (op == nullptr) {
         gap("server call is not 'port.operation' of a known operation");
         continue;
       }
       inlined += op->wcet;
-      const Connector* conn = feeding(instance, p->name);
+      const Connector* conn = model_.connection_to(instance, p->name);
       const Inst* server =
           conn == nullptr ? nullptr : inst(conn->from_instance);
       if (server == nullptr || server->dep == nullptr ||
@@ -455,7 +438,8 @@ class Lowerer {
       return;
     }
     const bool required = p->direction == PortDirection::kRequired;
-    const Connector* conn = required ? feeding(instance, port) : nullptr;
+    const Connector* conn =
+        required ? model_.connection_to(instance, port) : nullptr;
     if (required && conn == nullptr) return;
     const std::string& src = required ? conn->from_instance : instance;
     const std::string& src_port = required ? conn->from_port : port;
@@ -556,8 +540,6 @@ class Lowerer {
   Lowering out_;
 
   std::map<std::string_view, Inst, std::less<>> insts_;
-  std::map<std::pair<std::string_view, std::string_view>, const Connector*>
-      feed_;
   std::map<std::string, EcuTasks> tasks_of_;
   std::map<std::string, Writer, std::less<>> writers_;
   /// (instance, data-received runnable) -> index of its event task.

@@ -30,6 +30,22 @@ const Port* find_port(const ComponentType& type, std::string_view name) {
   return nullptr;
 }
 
+const DataElement* find_element(const PortInterface& iface,
+                                std::string_view name) {
+  for (const auto& e : iface.elements) {
+    if (e.name == name) return &e;
+  }
+  return nullptr;
+}
+
+const Operation* find_operation(const PortInterface& iface,
+                                std::string_view name) {
+  for (const auto& o : iface.operations) {
+    if (o.name == name) return &o;
+  }
+  return nullptr;
+}
+
 void Composition::add_interface(PortInterface iface) {
   const std::string name = iface.name;
   if (!interfaces_.emplace(name, std::move(iface)).second) {
@@ -45,13 +61,15 @@ void Composition::add_type(ComponentType type) {
 }
 
 void Composition::add_instance(ComponentInstance instance) {
-  for (const auto& i : instances_) {
-    if (i.name == instance.name) fail("duplicate instance " + instance.name);
+  if (!instance_of_.try_emplace(instance.name, instances_.size()).second) {
+    fail("duplicate instance " + instance.name);
   }
   instances_.push_back(std::move(instance));
 }
 
 void Composition::add_connector(Connector connector) {
+  feed_of_[connector.to_instance].try_emplace(connector.to_port,
+                                              connectors_.size());
   connectors_.push_back(std::move(connector));
 }
 
@@ -80,9 +98,9 @@ const DataElement& Composition::element_of(std::string_view inst,
   const Port* p = t == nullptr ? nullptr : find_port(*t, port);
   const PortInterface* iface =
       p == nullptr ? nullptr : find_interface(p->interface);
-  for (std::size_t i = 0; iface != nullptr && i < iface->elements.size(); ++i) {
-    if (iface->elements[i].name == element) return iface->elements[i];
-  }
+  const DataElement* e =
+      iface == nullptr ? nullptr : find_element(*iface, element);
+  if (e != nullptr) return *e;
   fail("instance " + std::string(inst) + " has no element " +
        std::string(port) + "." + std::string(element));
 }
@@ -96,10 +114,10 @@ const Composition::OperationHandler* Composition::operation_handler(
 
 const Connector* Composition::connection_to(std::string_view instance,
                                             std::string_view port) const {
-  for (const auto& c : connectors_) {
-    if (c.to_instance == instance && c.to_port == port) return &c;
-  }
-  return nullptr;
+  const auto it = feed_of_.find(instance);
+  if (it == feed_of_.end()) return nullptr;
+  const auto pit = it->second.find(port);
+  return pit == it->second.end() ? nullptr : &connectors_[pit->second];
 }
 
 const PortInterface* Composition::find_interface(std::string_view name) const {
@@ -114,10 +132,8 @@ const ComponentType* Composition::find_type(std::string_view name) const {
 
 const ComponentInstance* Composition::find_instance(
     std::string_view name) const {
-  for (const auto& i : instances_) {
-    if (i.name == name) return &i;
-  }
-  return nullptr;
+  const auto it = instance_of_.find(name);
+  return it == instance_of_.end() ? nullptr : &instances_[it->second];
 }
 
 }  // namespace orte::vfb

@@ -7,7 +7,8 @@
 // instantiate types and wire ports with assembly connectors. The model is
 // deployment-independent: the same Composition maps onto 1 ECU or N ECUs
 // (location independence), which is exactly what the extensibility and
-// integration experiments exercise.
+// integration experiments exercise. A Composition indexes every name it owns
+// (interfaces, types, instances, feeding connectors): no lookup scans.
 #pragma once
 
 #include <cstdint>
@@ -128,6 +129,12 @@ struct ComponentType {
 /// Port `name` of `type`, or null.
 [[nodiscard]] const Port* find_port(const ComponentType& type,
                                     std::string_view name);
+/// Data element `name` of `iface`, or null.
+[[nodiscard]] const DataElement* find_element(const PortInterface& iface,
+                                              std::string_view name);
+/// Operation `name` of `iface`, or null.
+[[nodiscard]] const Operation* find_operation(const PortInterface& iface,
+                                              std::string_view name);
 
 struct ComponentInstance {
   std::string name;
@@ -197,7 +204,7 @@ class Composition {
     return types_;
   }
 
-  /// The single connector feeding required port (instance, port), or null.
+  /// The first connector feeding required port (instance, port), or null.
   const Connector* connection_to(std::string_view instance,
                                  std::string_view port) const;
 
@@ -206,6 +213,14 @@ class Composition {
   std::map<std::string, ComponentType, std::less<>> types_;
   std::vector<ComponentInstance> instances_;
   std::vector<Connector> connectors_;
+  // The name indexes add_instance and add_connector fill hold vector
+  // indices, not pointers, so a copied Composition stays valid.
+  /// Instance name -> its index in instances_.
+  std::map<std::string, std::size_t, std::less<>> instance_of_;
+  /// Required instance -> port -> index of its first feeding connector.
+  std::map<std::string, std::map<std::string, std::size_t, std::less<>>,
+           std::less<>>
+      feed_of_;
   std::map<std::string, OperationHandler, std::less<>> handlers_;
   std::map<std::string, contracts::Contract, std::less<>> contracts_;
 };

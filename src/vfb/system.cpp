@@ -366,15 +366,6 @@ void System::build_tasks() {
   for (const auto& ecu_name : lowering_.ecus) {
     EcuCtx& c = ctx(ecu_name);
 
-    for (const auto& p : plan_.partitions) {
-      if (p.ecu != ecu_name) continue;
-      os::PartitionConfig cfg;
-      cfg.name = p.name;
-      cfg.budget = p.budget;
-      cfg.period = p.period;
-      c.partition_ids[p.name] = c.ecu->add_partition(cfg);
-    }
-
     // Every runnable is bound to its RTE here, after all routes are wired:
     // its segments hold the binding, so no job resolves an access again.
     Rte* rte = c.rte.get();
@@ -428,9 +419,6 @@ void System::build_tasks() {
       // acts only against a budget.
       cfg.overrun_action = dep.budget > 0 ? os::OverrunAction::kKillJob
                                           : os::OverrunAction::kNone;
-      if (!dep.partition.empty()) {
-        cfg.partition = c.partition_ids.at(dep.partition);
-      }
       if (!t.periodic()) {
         cfg.max_pending_activations = 8;
         os::Task& task = c.ecu->add_task(cfg);

@@ -8,8 +8,8 @@
 // validation::validate(model, plan) renders) and instantiates it:
 //  * the generated OS tasks (one per (instance, period) for timing runnables
 //    at rate-monotonic priorities per ECU, one event task per data-received
-//    runnable) with the plan's timing-isolation attributes (budgets,
-//    partitions) — the §1/§2 multi-supplier protection story,
+//    runnable) with the plan's execution budgets — the §1/§2
+//    multi-supplier protection story,
 //  * COM signals/I-PDUs for every cross-ECU connector element, with frame
 //    identifiers by rate on CAN or dedicated static slots on FlexRay,
 //  * RTE routing tables (local copies vs network sends) and data-received
@@ -110,7 +110,6 @@ class System {
     std::unique_ptr<bsw::Com> com;
     std::unique_ptr<Rte> rte;
     net::Controller* controller = nullptr;
-    std::map<std::string, int> partition_ids;
   };
 
   void build();

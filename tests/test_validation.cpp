@@ -60,9 +60,12 @@ Runnable timing_runnable(std::string name, orte::sim::Duration period) {
 
 /// Producer -> consumer over one connector; access kinds parameterized so the
 /// same topology can be the V4 hazard or its safe implicit twin.
-Composition pipeline(DataAccessKind write_kind, DataAccessKind read_kind) {
+Composition pipeline(DataAccessKind write_kind, DataAccessKind read_kind,
+                     std::size_t bits = 64) {
   Composition c;
-  c.add_interface(value_interface("IVal"));
+  PortInterface iface = value_interface("IVal");
+  iface.elements.front().bit_length = bits;
+  c.add_interface(iface);
   Runnable produce = timing_runnable("produce", milliseconds(5));
   produce.accesses.push_back({"out", "val", write_kind});
   Runnable consume = timing_runnable("consume", milliseconds(10));
@@ -152,16 +155,6 @@ TEST(ValidatorV1, MissingDeploymentIsAnError) {
             std::string::npos);
 }
 
-TEST(ValidatorV1, UnknownPartitionIsAnError) {
-  Composition c = pipeline(DataAccessKind::kImplicitWrite,
-                           DataAccessKind::kImplicitRead);
-  DeploymentPlan plan = same_ecu_plan();
-  plan.instances["p"].partition = "safety";  // never declared
-  const Diagnostics d = orte::validation::validate(c, plan);
-  ASSERT_TRUE(d.has_errors());
-  EXPECT_NE(d.render().find("unknown partition safety"), std::string::npos);
-}
-
 // --- V2: connector and access typing -------------------------------------------
 
 TEST(ValidatorV2, InterfaceMismatchNamesTheElementDelta) {
@@ -225,6 +218,32 @@ TEST(ValidatorV2, CrossEcuClientServerIsAnError) {
   // Same plan on one ECU: clean.
   plan.instances["cl"] = {.ecu = "A"};
   EXPECT_FALSE(orte::validation::validate(c, plan).has_errors());
+}
+
+TEST(ValidatorV2, ElementOutsideSignalWidthIsAnError) {
+  // A cross-ECU element travels as one COM signal of 1..64 bits; strict
+  // construction rejects the model with the validator's report.
+  for (const std::size_t bits : {std::size_t{0}, std::size_t{65}}) {
+    const Composition c = pipeline(DataAccessKind::kImplicitWrite,
+                                   DataAccessKind::kImplicitRead, bits);
+    DeploymentPlan plan;
+    plan.instances["p"] = {.ecu = "A"};
+    plan.instances["k"] = {.ecu = "B"};
+    const Diagnostics d = orte::validation::validate(c, plan);
+    const auto v2 = d.by_rule("V2");
+    ASSERT_EQ(v2.size(), 1u) << d.render();
+    EXPECT_EQ(v2.front()->severity, Severity::kError);
+    EXPECT_EQ(v2.front()->subject, "IVal.val");
+    Kernel kernel;
+    Trace trace;
+    try {
+      System sys(kernel, trace, c, plan);
+      ADD_FAILURE() << "a " << bits << "-bit element was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "System: model validation failed\n" + d.render());
+    }
+  }
 }
 
 // --- V3: connectivity ----------------------------------------------------------
@@ -530,17 +549,22 @@ TEST(ValidatorStrict, WarningsDoNotBlockGeneration) {
 
 /// Producer -> relay -> consumer; the relay has no contract, so the pairwise
 /// V7 check cannot relate the producer's guarantee to the consumer's
-/// assumption — only the transitive V8 propagation can.
-Composition relay_chain() {
+/// assumption — only the transitive V8 propagation can. `p_writes` and
+/// `k_reads` drop the producer's write or the consumer's read.
+Composition relay_chain(bool p_writes = true, bool k_reads = true) {
   Composition c;
   c.add_interface(value_interface("IVal"));
   Runnable produce = timing_runnable("produce", milliseconds(5));
-  produce.accesses.push_back({"out", "val", DataAccessKind::kImplicitWrite});
+  if (p_writes) {
+    produce.accesses.push_back({"out", "val", DataAccessKind::kImplicitWrite});
+  }
   Runnable relay = timing_runnable("relay", milliseconds(5));
   relay.accesses.push_back({"in", "val", DataAccessKind::kImplicitRead});
   relay.accesses.push_back({"out", "val", DataAccessKind::kImplicitWrite});
   Runnable consume = timing_runnable("consume", milliseconds(10));
-  consume.accesses.push_back({"in", "val", DataAccessKind::kImplicitRead});
+  if (k_reads) {
+    consume.accesses.push_back({"in", "val", DataAccessKind::kImplicitRead});
+  }
   c.add_type({"Producer", {Port{"out", "IVal", PortDirection::kProvided}},
               {produce}});
   c.add_type({"Relay",
@@ -865,6 +889,40 @@ TEST(ValidatorV12, UnconsumedRelayedWriteIsReportedAsInfo) {
   EXPECT_EQ(v12.front()->subject, "p.out.val");
 }
 
+TEST(ValidatorV12, SilentOnTheReadV3FlagsAsFedByAnUnwrittenElement) {
+  // p -> r -> k, but nothing writes p.out: V3 reports p.out.val as never
+  // written, so V12 leaves r.in.val alone and warns only on k.in.val, which
+  // the written r.out.val feeds.
+  Composition c = relay_chain(/*p_writes=*/false);
+  c.bind_contract("k", Contract{.name = "C0"});
+  const Diagnostics d = orte::validation::validate(c);
+  const auto v12 = d.by_rule("V12");
+  ASSERT_EQ(v12.size(), 1u) << d.render();
+  EXPECT_EQ(v12.front()->severity, Severity::kWarning);
+  EXPECT_EQ(v12.front()->subject, "k.in.val");
+  const auto v3 = d.by_rule("V3");
+  EXPECT_TRUE(std::any_of(v3.begin(), v3.end(), [](const auto* diag) {
+    return diag->subject == "p.out.val";
+  })) << d.render();
+}
+
+TEST(ValidatorV12, SilentOnTheWriteV3FlagsAsDeliveredButUnread) {
+  // p -> r -> k, but k never reads in: V3 reports k.in.val as never read,
+  // so V12 leaves r.out.val alone and reports only p.out.val, whose
+  // receiver r reads.
+  Composition c = relay_chain(/*p_writes=*/true, /*k_reads=*/false);
+  c.bind_contract("r", Contract{.name = "C0"});
+  const Diagnostics d = orte::validation::validate(c);
+  const auto v12 = d.by_rule("V12");
+  ASSERT_EQ(v12.size(), 1u) << d.render();
+  EXPECT_EQ(v12.front()->severity, Severity::kInfo);
+  EXPECT_EQ(v12.front()->subject, "p.out.val");
+  const auto v3 = d.by_rule("V3");
+  EXPECT_TRUE(std::any_of(v3.begin(), v3.end(), [](const auto* diag) {
+    return diag->subject == "k.in.val";
+  })) << d.render();
+}
+
 TEST(ValidatorV12, AutonomousSourceMakesChainLive) {
   Composition c = relay_chain();
   c.bind_contract("k", Contract{.name = "C0"});
@@ -978,6 +1036,34 @@ TEST(Detectability, StuckAtIsObservedByBothRangePlanesAndContained) {
   }
   EXPECT_TRUE(saw_write);
   EXPECT_TRUE(saw_deliver);
+}
+
+TEST(Detectability, StuckAtTwoHopsUpstreamIsAContainmentGap) {
+  // The stuck value crosses relay r to k's range assumption. That plane
+  // blames k's feeding producer r, outside the fault's domain {p}.
+  Contract consumer{.name = "CCons"};
+  consumer.assumptions.push_back(
+      FlowSpec{.flow = "in.val", .range = Interval{0, 100}});
+  Composition c = relay_chain();
+  c.bind_contract("k", consumer);
+  DeploymentPlan plan = same_ecu_plan();
+  plan.instances["r"] = {.ecu = "E"};
+  const auto analysis = orte::validation::analyze_detectability(
+      c, plan,
+      {{.kind = orte::fi::FaultKind::kStuckAt,
+        .target = "p.out.val",
+        .value = 4000}});
+  ASSERT_EQ(analysis.verdicts.size(), 1u);
+  const auto& v = analysis.verdicts.front();
+  EXPECT_TRUE(v.perturbs);
+  EXPECT_TRUE(v.detectable);
+  EXPECT_TRUE(v.containment_gap);
+  EXPECT_FALSE(v.contained);
+  ASSERT_EQ(v.observers.size(), 1u);
+  EXPECT_EQ(v.observers.front().kind,
+            orte::validation::MonitorPlane::Kind::kRangeDeliver);
+  EXPECT_EQ(v.observers.front().observable, "deliver-value k.in.val");
+  EXPECT_EQ(v.observers.front().blame, "r");
 }
 
 TEST(Detectability, FrameDelayOnFlexRayIsRejected) {

@@ -87,6 +87,28 @@ TEST(Composition, MultipleFeedsToRequiredPortFail) {
   EXPECT_TRUE(orte::validation::validate(c).has_errors());
 }
 
+TEST(Composition, LookupsAnswerFromTheNameIndexes) {
+  Composition c;
+  c.add_interface(value_interface("IVal"));
+  c.add_type({"A", {Port{"out", "IVal", PortDirection::kProvided}}, {}});
+  c.add_type({"B", {Port{"in", "IVal", PortDirection::kRequired}}, {}});
+  c.add_instance({"a1", "A"});
+  c.add_instance({"a2", "A"});
+  c.add_instance({"b", "B"});
+  c.add_connector({"a1", "out", "b", "in"});
+  c.add_connector({"a2", "out", "b", "in"});
+  // Two feeds into one required port (V2's finding): the first answers.
+  const Connector* feed = c.connection_to("b", "in");
+  ASSERT_NE(feed, nullptr);
+  EXPECT_EQ(feed->from_instance, "a1");
+  EXPECT_EQ(c.connection_to("a1", "out"), nullptr);
+  EXPECT_EQ(c.find_instance("ghost"), nullptr);
+  // A copy answers from its own vectors.
+  const Composition copy = c;
+  EXPECT_EQ(copy.find_instance("b"), &copy.instances()[2]);
+  EXPECT_EQ(copy.connection_to("b", "in"), &copy.connectors()[0]);
+}
+
 TEST(Composition, WriteAccessOnRequiredPortFails) {
   Composition c;
   c.add_interface(value_interface("IVal"));
