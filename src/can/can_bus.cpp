@@ -40,14 +40,11 @@ Frame CanController::pop_head() {
 // --- CanBus ------------------------------------------------------------------
 
 CanBus::CanBus(sim::Kernel& kernel, sim::Trace& trace, CanConfig cfg)
-    : kernel_(kernel),
-      trace_(trace),
-      cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.bitrate_bps),
-      rng_(cfg_.seed) {
+    : kernel_(kernel), trace_(trace), cfg_(std::move(cfg)), rng_(cfg_.seed) {
   if (cfg_.bitrate_bps <= 0) {
     throw std::invalid_argument("CAN bitrate must be positive");
   }
+  bit_time_ = 1'000'000'000 / cfg_.bitrate_bps;
 }
 
 CanController& CanBus::attach() {

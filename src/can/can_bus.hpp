@@ -101,7 +101,7 @@ class CanBus {
   sim::Kernel& kernel_;
   sim::Trace& trace_;
   CanConfig cfg_;
-  Duration bit_time_;
+  Duration bit_time_ = 0;  ///< Set once the bitrate is checked.
   std::vector<std::unique_ptr<CanController>> controllers_;
   net::BusStats stats_;
   sim::Rng rng_;

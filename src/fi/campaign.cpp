@@ -40,9 +40,7 @@ unsigned detector_of(std::string_view violation_kind) {
   if (violation_kind == "period" || violation_kind == "jitter") {
     return kDetArrival;
   }
-  if (violation_kind == "deadline" || violation_kind == "response") {
-    return kDetDeadline;
-  }
+  if (violation_kind == "deadline") return kDetDeadline;
   if (violation_kind == "latency") return kDetLatency;
   if (violation_kind == "range") return kDetRange;
   if (violation_kind == "automaton") return kDetAutomaton;

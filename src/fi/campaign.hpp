@@ -93,7 +93,7 @@ enum Detector : unsigned {
 inline constexpr unsigned kDetectorCount = 8;
 
 /// Monitor detector bit for a Violation::kind ("period"/"jitter" ->
-/// kDetArrival, "deadline"/"response" -> kDetDeadline, ...; 0 for unknown).
+/// kDetArrival, "deadline" -> kDetDeadline, ...; 0 for unknown).
 [[nodiscard]] unsigned detector_of(std::string_view violation_kind);
 [[nodiscard]] std::string_view detector_name(unsigned bit);
 

@@ -45,13 +45,11 @@ Duration FlexRayBus::cycle_length(const FlexRayConfig& cfg) {
 
 FlexRayBus::FlexRayBus(sim::Kernel& kernel, sim::Trace& trace,
                        FlexRayConfig cfg)
-    : kernel_(kernel),
-      trace_(trace),
-      cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.bitrate_bps) {
+    : kernel_(kernel), trace_(trace), cfg_(std::move(cfg)) {
   if (cfg_.bitrate_bps <= 0 || cfg_.static_slots == 0) {
     throw std::invalid_argument("FlexRay config invalid");
   }
+  bit_time_ = 1'000'000'000 / cfg_.bitrate_bps;
   static_slot_len_ = slot_length(cfg_);
   dynamic_len_ = static_cast<Duration>(cfg_.minislots) * cfg_.minislot_len;
   cycle_len_ = cycle_length(cfg_);

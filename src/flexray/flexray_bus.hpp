@@ -114,7 +114,7 @@ class FlexRayBus {
   sim::Kernel& kernel_;
   sim::Trace& trace_;
   FlexRayConfig cfg_;
-  Duration bit_time_;
+  Duration bit_time_ = 0;  ///< Set once the bitrate is checked.
   Duration static_slot_len_;
   Duration dynamic_len_;
   Duration cycle_len_;

@@ -18,12 +18,8 @@ std::uint64_t HealthReport::ContractStats::tolerated() const {
 
 void HealthReport::record(const Violation& v) {
   violations_.push_back(v);
-  if (retention_ > 0 && violations_.size() > retention_) {
-    violations_.pop_front();
-  }
+  if (violations_.size() > kRetention) violations_.pop_front();
   ++total_;
-  ++by_kind_[v.kind];
-  ++by_contract_[v.contract];
   ContractStats& stats = contract_stats_[v.contract];
   ++stats.violating;
   if (v.confidence < stats.confidence) stats.confidence = v.confidence;
@@ -55,29 +51,10 @@ void HealthReport::close_windows() {
   }
 }
 
-std::size_t HealthReport::count_kind(std::string_view kind) const {
-  auto it = by_kind_.find(kind);
-  return it == by_kind_.end() ? 0 : it->second;
-}
-
-std::size_t HealthReport::count_contract(std::string_view contract) const {
-  auto it = by_contract_.find(contract);
-  return it == by_contract_.end() ? 0 : it->second;
-}
-
 const HealthReport::ContractStats* HealthReport::stats(
     std::string_view contract) const {
   auto it = contract_stats_.find(contract);
   return it == contract_stats_.end() ? nullptr : &it->second;
-}
-
-std::vector<Violation> HealthReport::for_contract(
-    std::string_view contract) const {
-  std::vector<Violation> out;
-  for (const auto& v : violations_) {
-    if (v.contract == contract) out.push_back(v);
-  }
-  return out;
 }
 
 std::string HealthReport::render() const {
@@ -100,21 +77,6 @@ std::string HealthReport::render() const {
     os << "\n";
   }
   return os.str();
-}
-
-void HealthReport::set_retention(std::size_t cap) {
-  retention_ = cap;
-  if (retention_ > 0) {
-    while (violations_.size() > retention_) violations_.pop_front();
-  }
-}
-
-void HealthReport::clear() {
-  violations_.clear();
-  total_ = 0;
-  by_kind_.clear();
-  by_contract_.clear();
-  contract_stats_.clear();
 }
 
 }  // namespace orte::rv

@@ -20,7 +20,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -35,8 +34,8 @@ struct Violation {
   /// Instance the violation blames (quarantine target, containment
   /// attribution), copied from the violated spec; empty = nobody.
   std::string blame;
-  std::string kind;      ///< "period" | "jitter" | "deadline" | "response" |
-                         ///< "latency" | "range" | "automaton" | "alive".
+  std::string kind;      ///< "period" | "jitter" | "deadline" | "latency" |
+                         ///< "range" | "automaton" | "alive".
   std::int64_t observed = 0;  ///< Measured value (ns for timing kinds).
   std::int64_t bound = 0;     ///< Contracted bound it exceeded.
   sim::Time when = 0;
@@ -48,14 +47,14 @@ struct Violation {
 /// Aggregated, queryable violation log for one run.
 ///
 /// Two layers of bookkeeping:
-///  * an exact set of counters (total, per-kind, per-contract, per-contract
-///    rate stats) that never lose precision, and
-///  * a bounded log of the most recent `Violation` records for diagnosis —
-///    soak runs cannot grow it without limit (see set_retention()).
+///  * exact counters (the total and per-contract rate stats) that never
+///    lose precision, and
+///  * a log of the most recent `Violation` records for diagnosis, bounded
+///    by kRetention so soak runs cannot grow it without limit.
 class HealthReport {
  public:
-  /// Default bound on stored Violation records (counters stay exact).
-  static constexpr std::size_t kDefaultRetention = 4096;
+  /// Bound on stored Violation records (counters stay exact).
+  static constexpr std::size_t kRetention = 4096;
 
   /// Per-contract conformance-rate statistics. `violating`/`observations`
   /// are cumulative and exact; the *window* view covers everything since
@@ -104,40 +103,25 @@ class HealthReport {
   /// Close every contract's evaluation window.
   void close_windows();
 
-  /// Most recent violations, oldest first (bounded by set_retention()).
+  /// Most recent violations, oldest first (at most kRetention).
   [[nodiscard]] const std::deque<Violation>& violations() const {
     return violations_;
   }
   /// Exact number of violations ever recorded (survives log eviction).
   [[nodiscard]] std::size_t total() const { return total_; }
   [[nodiscard]] bool healthy() const { return total_ == 0; }
-  [[nodiscard]] std::size_t count_kind(std::string_view kind) const;
-  [[nodiscard]] std::size_t count_contract(std::string_view contract) const;
   /// Rate statistics of `contract`; nullptr when it never appeared.
   [[nodiscard]] const ContractStats* stats(std::string_view contract) const;
   [[nodiscard]] const std::map<std::string, ContractStats, std::less<>>&
   contract_stats() const {
     return contract_stats_;
   }
-  /// Still-retained violations of `contract`, in raise order.
-  [[nodiscard]] std::vector<Violation> for_contract(
-      std::string_view contract) const;
   /// Human-readable one-line-per-violation summary (diagnosis, examples).
   [[nodiscard]] std::string render() const;
 
-  /// Bound the stored Violation log (0 = unbounded). Evicts oldest records
-  /// immediately if over the new cap; all counters keep their exact values.
-  void set_retention(std::size_t cap);
-  [[nodiscard]] std::size_t retention() const { return retention_; }
-
-  void clear();
-
  private:
   std::deque<Violation> violations_;
-  std::size_t retention_ = kDefaultRetention;
   std::size_t total_ = 0;
-  std::map<std::string, std::size_t, std::less<>> by_kind_;
-  std::map<std::string, std::size_t, std::less<>> by_contract_;
   std::map<std::string, ContractStats, std::less<>> contract_stats_;
 };
 

@@ -19,18 +19,12 @@ ArrivalMonitor::ArrivalMonitor(ArrivalSpec spec)
     : Monitor(spec.contract, spec.confidence, spec.blame),
       spec_(std::move(spec)) {}
 
-std::vector<Monitor::Subscription> ArrivalMonitor::subscriptions() const {
-  std::vector<Subscription> subs{{spec_.category, spec_.subject}};
-  if (spec_.observe_quarantined) {
-    // Suppressed writes of a quarantined component still document its
-    // update rate; judging them keeps the rehabilitation loop honest.
-    subs.push_back({"rte.quarantine_drop", spec_.subject});
-  }
-  return subs;
-}
-
-void ArrivalMonitor::prepare(sim::Trace& trace) {
+std::vector<Monitor::Key> ArrivalMonitor::subscribe(sim::Trace& trace) {
   subject_id_ = trace.intern_subject(spec_.subject);
+  // Suppressed writes of a quarantined component still document its update
+  // rate; judging them keeps the rehabilitation loop honest.
+  return {{trace.intern_category("rte.write"), subject_id_},
+          {trace.intern_category("rte.quarantine_drop"), subject_id_}};
 }
 
 void ArrivalMonitor::resync() {
@@ -74,13 +68,11 @@ DeadlineMonitor::DeadlineMonitor(DeadlineSpec spec)
     : Monitor(spec.contract, spec.confidence, spec.blame),
       spec_(std::move(spec)) {}
 
-std::vector<Monitor::Subscription> DeadlineMonitor::subscriptions() const {
-  return {{"task.deadline_miss", spec_.task}, {"task.complete", spec_.task}};
-}
-
-void DeadlineMonitor::prepare(sim::Trace& trace) {
+std::vector<Monitor::Key> DeadlineMonitor::subscribe(sim::Trace& trace) {
   task_id_ = trace.intern_subject(spec_.task);
   miss_category_id_ = trace.intern_category("task.deadline_miss");
+  return {{miss_category_id_, task_id_},
+          {trace.intern_category("task.complete"), task_id_}};
 }
 
 void DeadlineMonitor::resync() { miss_streak_ = 0; }
@@ -103,15 +95,6 @@ void DeadlineMonitor::observe(const sim::TraceEvent& rec) {
   ++completions_;
   note_observation();
   if (rec.value <= spec_.deadline) miss_streak_ = 0;
-  if (spec_.response_bound > 0 && rec.value > spec_.response_bound) {
-    Violation v;
-    v.subject = spec_.task;
-    v.kind = "response";
-    v.observed = rec.value;
-    v.bound = spec_.response_bound;
-    v.when = rec.when;
-    raise(std::move(v));
-  }
 }
 
 // --- LatencyMonitor -----------------------------------------------------------
@@ -120,16 +103,12 @@ LatencyMonitor::LatencyMonitor(LatencySpec spec)
     : Monitor(spec.contract, spec.confidence, spec.blame),
       spec_(std::move(spec)) {}
 
-std::vector<Monitor::Subscription> LatencyMonitor::subscriptions() const {
-  return {{spec_.source_category, spec_.source_subject},
-          {spec_.sink_category, spec_.sink_subject}};
-}
-
-void LatencyMonitor::prepare(sim::Trace& trace) {
-  source_category_id_ = trace.intern_category(spec_.source_category);
-  source_subject_id_ = trace.intern_subject(spec_.source_subject);
-  sink_category_id_ = trace.intern_category(spec_.sink_category);
-  sink_subject_id_ = trace.intern_subject(spec_.sink_subject);
+std::vector<Monitor::Key> LatencyMonitor::subscribe(sim::Trace& trace) {
+  source_.category = trace.intern_category("rte.write");
+  source_.subject = trace.intern_subject(spec_.source_subject);
+  sink_.category = trace.intern_category("rte.runnable");
+  sink_.subject = trace.intern_subject(spec_.sink_subject);
+  return {source_, sink_};
 }
 
 void LatencyMonitor::resync() {
@@ -138,10 +117,10 @@ void LatencyMonitor::resync() {
 }
 
 void LatencyMonitor::observe(const sim::TraceEvent& rec) {
-  if (rec.category_id == source_category_id_ &&
-      rec.subject_id == source_subject_id_) {
+  if (rec.category_id == source_.category &&
+      rec.subject_id == source_.subject) {
     in_flight_.push_back(rec.when);
-    if (in_flight_.size() > spec_.max_in_flight) {
+    if (in_flight_.size() > kMaxInFlight) {
       // The sink fell behind by a full window: the oldest cause will never
       // be matched — report the age it reached before dropping it.
       note_observation();
@@ -158,8 +137,7 @@ void LatencyMonitor::observe(const sim::TraceEvent& rec) {
     }
     return;
   }
-  if (rec.category_id != sink_category_id_ ||
-      rec.subject_id != sink_subject_id_) {
+  if (rec.category_id != sink_.category || rec.subject_id != sink_.subject) {
     return;
   }
   if (!spec_.sink_detail.empty() && rec.detail != spec_.sink_detail) return;
@@ -192,12 +170,9 @@ RangeMonitor::RangeMonitor(RangeSpec spec)
   if (spec_.report_subject.empty()) spec_.report_subject = spec_.subject;
 }
 
-std::vector<Monitor::Subscription> RangeMonitor::subscriptions() const {
-  return {{spec_.category, spec_.subject}};
-}
-
-void RangeMonitor::prepare(sim::Trace& trace) {
+std::vector<Monitor::Key> RangeMonitor::subscribe(sim::Trace& trace) {
   subject_id_ = trace.intern_subject(spec_.subject);
+  return {{trace.intern_category(spec_.category), subject_id_}};
 }
 
 void RangeMonitor::resync() { streak_ = 0; }
@@ -231,32 +206,21 @@ AutomatonMonitor::AutomatonMonitor(AutomatonSpec spec)
       spec_(std::move(spec)),
       stepper_(spec_.automaton) {}
 
-std::vector<Monitor::Subscription> AutomatonMonitor::subscriptions() const {
-  std::vector<Subscription> subs;
-  for (const auto& rule : spec_.labels) {
-    subs.push_back({rule.category, rule.subject});
-  }
-  return subs;
-}
-
-void AutomatonMonitor::prepare(sim::Trace& trace) {
+std::vector<Monitor::Key> AutomatonMonitor::subscribe(sim::Trace& trace) {
   trace_ = &trace;
-  rule_ids_.clear();
+  const sim::TraceId write = trace.intern_category("rte.write");
+  std::vector<Key> keys;
   for (const auto& rule : spec_.labels) {
-    RuleIds ids;
-    ids.category = trace.intern_category(rule.category);
-    ids.any_subject = rule.subject.empty();
-    if (!ids.any_subject) ids.subject = trace.intern_subject(rule.subject);
-    rule_ids_.push_back(ids);
+    rule_subjects_.push_back(trace.intern_subject(rule.subject));
+    keys.push_back({write, rule_subjects_.back()});
   }
+  return keys;
 }
 
 void AutomatonMonitor::observe(const sim::TraceEvent& rec) {
   const AutomatonSpec::LabelRule* rule = nullptr;
-  for (std::size_t i = 0; i < rule_ids_.size(); ++i) {
-    const RuleIds& ids = rule_ids_[i];
-    if (ids.category == rec.category_id &&
-        (ids.any_subject || ids.subject == rec.subject_id)) {
+  for (std::size_t i = 0; i < rule_subjects_.size(); ++i) {
+    if (rule_subjects_[i] == rec.subject_id) {
       rule = &spec_.labels[i];
       break;
     }

@@ -23,39 +23,33 @@
 
 namespace orte::rv {
 
-/// Base of every online monitor. A monitor declares the (category, subject)
-/// pairs it consumes; the MonitorRegistry routes matching records to
+/// Base of every online monitor. A monitor names the interned (category,
+/// subject) keys it consumes; the MonitorRegistry routes matching records to
 /// observe() and receives raised violations through the bound sink.
 class Monitor {
  public:
   using Sink = std::function<void(const Violation&)>;
 
-  /// One routing key. An empty subject means "every subject of the
-  /// category" — the registry keeps those in a per-category wildcard
-  /// bucket; non-empty subjects are reached through the
-  /// (category_id, subject_id) index in one hash lookup.
-  struct Subscription {
-    std::string category;
-    std::string subject;
+  /// One routing key: an interned (category, subject) pair of the trace.
+  struct Key {
+    sim::TraceId category = sim::kNoTraceId;
+    sim::TraceId subject = sim::kNoTraceId;
   };
 
   virtual ~Monitor() = default;
   Monitor(const Monitor&) = delete;
   Monitor& operator=(const Monitor&) = delete;
 
-  /// Routing keys this monitor wants to see.
-  [[nodiscard]] virtual std::vector<Subscription> subscriptions() const = 0;
-
   /// Called once by the registry at attach() time with the trace this
-  /// monitor will observe: resolve spec strings into interned TraceIds so
-  /// observe() compares integers, never strings.
-  virtual void prepare(sim::Trace& trace) { (void)trace; }
+  /// monitor will observe: intern the spec's names (so observe() compares
+  /// integers, never strings) and return the keys to route to observe().
+  [[nodiscard]] virtual std::vector<Key> subscribe(sim::Trace& trace) = 0;
 
   /// Observe one routed emission. The TraceEvent view carries interned IDs
   /// only (no name strings) — the registry reaches this through the
   /// Trace::subscribe_ids fast path, so a monitored run never materializes
   /// per-record strings; name lookups (for violation reports) go through
-  /// the Trace handed to prepare().
+  /// the Trace handed to subscribe().
   virtual void observe(const sim::TraceEvent& rec) = 0;
 
   /// Re-anchor incremental expectations after a gap the monitor must not
@@ -98,31 +92,28 @@ class Monitor {
 
 // --- Arrival-rate / jitter ----------------------------------------------------
 
-/// Watches the update stream of one flow (default: "rte.write" of a sender
-/// key) and checks every inter-arrival time against the contracted period
-/// and jitter: with jitter J > 0 the interval must stay in [P-J, P+J]; with
-/// J = 0 only late updates (interval > P) violate, since faster-than-
-/// promised updates refine the guarantee (contracts::satisfies semantics).
+/// Watches the "rte.write" update stream of one sender key and checks every
+/// inter-arrival time against the contracted period and jitter: with
+/// jitter J > 0 the interval must stay in [P-J, P+J]; with J = 0 only late
+/// updates (interval > P) violate, since faster-than-promised updates
+/// refine the guarantee (contracts::satisfies semantics). It also watches
+/// "rte.quarantine_drop" of the same key, so a quarantined component stays
+/// under observation through its suppressed writes — the DEM can only
+/// certify recovery (and age the contract's DTC out) if the component
+/// demonstrably behaves again while still sanctioned.
 struct ArrivalSpec {
   std::string contract;
-  std::string subject;  ///< Trace subject to match (e.g. "pedal.pedal.stamp").
-  std::string category = "rte.write";
+  std::string subject;  ///< Sender key to match (e.g. "pedal.pedal.stamp").
   std::string blame;  ///< Instance a violation blames (the producer).
   sim::Duration period = 0;  ///< Contracted update period (ns); 0 = skip.
   sim::Duration jitter = 0;  ///< Allowed deviation from the period (ns).
   double confidence = 1.0;
-  /// Also watch "rte.quarantine_drop" of the same subject, so a quarantined
-  /// component stays under observation through its suppressed writes — the
-  /// DEM can only certify recovery (and age the contract's DTC out) if the
-  /// component demonstrably behaves again while still sanctioned.
-  bool observe_quarantined = true;
 };
 
 class ArrivalMonitor final : public Monitor {
  public:
   explicit ArrivalMonitor(ArrivalSpec spec);
-  [[nodiscard]] std::vector<Subscription> subscriptions() const override;
-  void prepare(sim::Trace& trace) override;
+  [[nodiscard]] std::vector<Key> subscribe(sim::Trace& trace) override;
   void observe(const sim::TraceEvent& rec) override;
   void resync() override;
   [[nodiscard]] std::uint64_t arrivals() const { return arrivals_; }
@@ -135,27 +126,23 @@ class ArrivalMonitor final : public Monitor {
   std::uint64_t streak_ = 0;
 };
 
-// --- Deadline / response time -------------------------------------------------
+// --- Deadline ----------------------------------------------------------------
 
 /// Watches one task's lifecycle records: every "task.deadline_miss" raises a
-/// deadline violation, and, when an explicit response bound is configured,
-/// every "task.complete" whose response time (the record value) exceeds it
-/// raises a response violation — tighter-than-deadline latency guarantees
-/// are checkable without touching the OS layer.
+/// deadline violation; every "task.complete" counts as a judged observation
+/// and, within the deadline, ends the consecutive-miss streak.
 struct DeadlineSpec {
   std::string contract;
   std::string task;  ///< Generated task name.
   std::string blame;  ///< Instance a violation blames (the task owner).
-  sim::Duration deadline = 0;        ///< Reported bound for miss records.
-  sim::Duration response_bound = 0;  ///< 0 = deadline-miss records only.
+  sim::Duration deadline = 0;  ///< Reported bound for miss records.
   double confidence = 1.0;
 };
 
 class DeadlineMonitor final : public Monitor {
  public:
   explicit DeadlineMonitor(DeadlineSpec spec);
-  [[nodiscard]] std::vector<Subscription> subscriptions() const override;
-  void prepare(sim::Trace& trace) override;
+  [[nodiscard]] std::vector<Key> subscribe(sim::Trace& trace) override;
   void observe(const sim::TraceEvent& rec) override;
   void resync() override;
   [[nodiscard]] std::uint64_t completions() const { return completions_; }
@@ -171,19 +158,18 @@ class DeadlineMonitor final : public Monitor {
 // --- End-to-end chain latency -------------------------------------------------
 
 /// Measures producer-to-consumer latency over a cause-effect chain: source
-/// events (e.g. "rte.write" of the chain head's sender key) enqueue their
-/// timestamps; each sink event (e.g. "rte.runnable" of the chain tail)
-/// consumes the oldest pending timestamp — exact for 1:1 activation chains
+/// events ("rte.write" of the chain head's sender key) enqueue their
+/// timestamps; each sink event ("rte.runnable" of the chain tail) consumes
+/// the oldest pending timestamp — exact for 1:1 activation chains
 /// (data-received pipelines), conservative under sink overload because the
 /// oldest unconsumed cause keeps aging. The queue is bounded: when the sink
-/// falls more than `max_in_flight` events behind, the oldest cause is
-/// reported as a latency violation with the age it reached and dropped.
+/// falls more than LatencyMonitor::kMaxInFlight events behind, the oldest
+/// cause is reported as a latency violation with the age it reached and
+/// dropped.
 struct LatencySpec {
   std::string contract;
-  std::string source_subject;
-  std::string source_category = "rte.write";
-  std::string sink_subject;
-  std::string sink_category = "rte.runnable";
+  std::string source_subject;  ///< Sender key of the chain head.
+  std::string sink_subject;    ///< Instance of the chain tail.
   std::string sink_detail;  ///< Optional: also match record detail
                             ///< (runnable name); empty = any.
   std::string blame;  ///< Instance a violation blames (the chain source).
@@ -194,14 +180,15 @@ struct LatencySpec {
   /// worst() <= static_bound on every run. 0 = not statically bounded.
   sim::Duration static_bound = 0;
   double confidence = 1.0;
-  std::size_t max_in_flight = 64;
 };
 
 class LatencyMonitor final : public Monitor {
  public:
+  /// Causes the sink may fall behind before the oldest is dropped.
+  static constexpr std::size_t kMaxInFlight = 64;
+
   explicit LatencyMonitor(LatencySpec spec);
-  [[nodiscard]] std::vector<Subscription> subscriptions() const override;
-  void prepare(sim::Trace& trace) override;
+  [[nodiscard]] std::vector<Key> subscribe(sim::Trace& trace) override;
   void observe(const sim::TraceEvent& rec) override;
   void resync() override;
   [[nodiscard]] std::uint64_t samples() const { return samples_; }
@@ -212,10 +199,8 @@ class LatencyMonitor final : public Monitor {
 
  private:
   LatencySpec spec_;
-  sim::TraceId source_category_id_ = sim::kNoTraceId;
-  sim::TraceId source_subject_id_ = sim::kNoTraceId;
-  sim::TraceId sink_category_id_ = sim::kNoTraceId;
-  sim::TraceId sink_subject_id_ = sim::kNoTraceId;
+  Key source_;  ///< "rte.write" of the source subject.
+  Key sink_;    ///< "rte.runnable" of the sink subject.
   std::deque<sim::Time> in_flight_;
   std::uint64_t samples_ = 0;
   sim::Duration worst_ = 0;
@@ -249,8 +234,7 @@ struct RangeSpec {
 class RangeMonitor final : public Monitor {
  public:
   explicit RangeMonitor(RangeSpec spec);
-  [[nodiscard]] std::vector<Subscription> subscriptions() const override;
-  void prepare(sim::Trace& trace) override;
+  [[nodiscard]] std::vector<Key> subscribe(sim::Trace& trace) override;
   void observe(const sim::TraceEvent& rec) override;
   void resync() override;
   [[nodiscard]] std::uint64_t checked() const { return checked_; }
@@ -265,17 +249,17 @@ class RangeMonitor final : public Monitor {
 // --- Behavioural timed automaton ---------------------------------------------
 
 /// Steps a contracts::TimedAutomaton against the live trace: label rules map
-/// (category, subject) records to automaton labels; each matching record
-/// advances the clocks by the elapsed simulation time (scaled by `tick`) and
-/// fires the first enabled edge. A stuck event or an entered error location
-/// raises an "automaton" violation; the observer then resets to the initial
-/// state so one glitch does not blind it for the rest of the run.
+/// the "rte.write" records of sender keys to automaton labels; each matching
+/// record advances the clocks by the elapsed simulation time (scaled by
+/// `tick`) and fires the first enabled edge. A stuck event or an entered
+/// error location raises an "automaton" violation; the observer then resets
+/// to the initial state so one glitch does not blind it for the rest of the
+/// run.
 struct AutomatonSpec {
   std::string contract;
   contracts::TimedAutomaton automaton;
   struct LabelRule {
-    std::string category;
-    std::string subject;  ///< Empty = any subject.
+    std::string subject;  ///< Sender key whose writes carry the label.
     std::string label;
     std::string blame;  ///< Instance a violation on this rule blames.
   };
@@ -287,24 +271,16 @@ struct AutomatonSpec {
 class AutomatonMonitor final : public Monitor {
  public:
   explicit AutomatonMonitor(AutomatonSpec spec);
-  [[nodiscard]] std::vector<Subscription> subscriptions() const override;
-  void prepare(sim::Trace& trace) override;
+  [[nodiscard]] std::vector<Key> subscribe(sim::Trace& trace) override;
   void observe(const sim::TraceEvent& rec) override;
   void resync() override;
   [[nodiscard]] std::uint64_t events() const { return events_; }
   [[nodiscard]] int location() const { return stepper_.location(); }
 
  private:
-  /// Interned twin of one LabelRule: subject kNoTraceId = any subject.
-  struct RuleIds {
-    sim::TraceId category = sim::kNoTraceId;
-    sim::TraceId subject = sim::kNoTraceId;
-    bool any_subject = false;
-  };
-
   AutomatonSpec spec_;
   const sim::Trace* trace_ = nullptr;  ///< For subject names in violations.
-  std::vector<RuleIds> rule_ids_;      ///< Parallel to spec_.labels.
+  std::vector<sim::TraceId> rule_subjects_;  ///< Parallel to spec_.labels.
   contracts::TimedAutomaton::Stepper stepper_;
   sim::Time last_event_ = 0;
   bool anchor_pending_ = false;  ///< Next event re-anchors time (resync()).

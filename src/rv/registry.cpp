@@ -1,6 +1,5 @@
 #include "rv/registry.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -26,49 +25,24 @@ MonitorRegistry::MonitorRegistry(sim::Trace& trace) : trace_(trace) {
   // exclusively, so its presence never forces the trace to materialize
   // name strings for unwatched — or even watched — records.
   trace_.subscribe_ids([this](const sim::TraceEvent& rec) {
-    auto it = index_.find(rec.category_id);
-    if (it == index_.end()) return;  // category nobody watches
+    const auto row = index_.find(rec.category_id);
+    if (row == index_.end()) return;  // category nobody watches
     ++records_routed_;
-    const CategoryBucket& bucket = it->second;
-    bool delivered = false;
-    auto sit = bucket.by_subject.find(rec.subject_id);
-    if (sit != bucket.by_subject.end()) {
-      delivered = true;
-      for (Monitor* m : sit->second) m->observe(rec);
-    }
-    if (!bucket.wildcard.empty()) {
-      delivered = true;
-      for (Monitor* m : bucket.wildcard) m->observe(rec);
-    }
-    records_delivered_ += delivered ? 1 : 0;
+    const auto cell = row->second.find(rec.subject_id);
+    if (cell == row->second.end()) return;
+    ++records_delivered_;
+    for (Monitor* m : cell->second) m->observe(rec);
   });
 }
 
 void MonitorRegistry::attach(Monitor& monitor) {
   monitor.bind([this](const Violation& v) { handle(v); });
-  monitor.prepare(trace_);
   contracts_[monitor.contract()].monitors.push_back(&monitor);
-  const auto subs = monitor.subscriptions();
-  const auto enter = [&monitor](std::vector<Monitor*>& bucket) {
-    if (std::find(bucket.begin(), bucket.end(), &monitor) == bucket.end()) {
-      bucket.push_back(&monitor);
-    }
-  };
-  // Wildcard subscriptions first: a monitor watching every subject of a
-  // category must not also sit in that category's subject buckets, or one
-  // record would reach it twice.
-  for (const auto& sub : subs) {
-    if (!sub.subject.empty()) continue;
-    enter(index_[trace_.intern_category(sub.category)].wildcard);
-  }
-  for (const auto& sub : subs) {
-    if (sub.subject.empty()) continue;
-    CategoryBucket& bucket = index_[trace_.intern_category(sub.category)];
-    if (std::find(bucket.wildcard.begin(), bucket.wildcard.end(), &monitor) !=
-        bucket.wildcard.end()) {
-      continue;  // already sees every subject of this category
-    }
-    enter(bucket.by_subject[trace_.intern_subject(sub.subject)]);
+  for (const Monitor::Key& key : monitor.subscribe(trace_)) {
+    std::vector<Monitor*>& cell = index_[key.category][key.subject];
+    // A key named twice is entered once, so each record reaches the monitor
+    // once; the monitor being attached is always the cell's newest entry.
+    if (cell.empty() || cell.back() != &monitor) cell.push_back(&monitor);
   }
 }
 
@@ -154,10 +128,6 @@ void MonitorRegistry::recover_to(std::string recovery_mode) {
   recovery_mode_ = std::move(recovery_mode);
 }
 
-void MonitorRegistry::set_warmup(std::uint64_t min_observations) {
-  warmup_ = min_observations;
-}
-
 void MonitorRegistry::on_violation(ViolationCallback cb) {
   callbacks_.push_back(std::move(cb));
 }
@@ -175,11 +145,6 @@ void MonitorRegistry::sync_observations(const std::string& contract,
     if (m->confidence() < confidence) confidence = m->confidence();
   }
   health_.note_observations(contract, total, confidence);
-}
-
-bool MonitorRegistry::judged_over_budget(
-    const HealthReport::ContractStats& stats) const {
-  return stats.window_observations() >= warmup_ && stats.over_budget();
 }
 
 void MonitorRegistry::report_budget_to_dem(const std::string& contract,
@@ -207,8 +172,8 @@ void MonitorRegistry::handle(const Violation& v) {
   // The budget verdict decides everything downstream: a violation within a
   // sub-1.0-confidence spec's tolerated rate is recorded for diagnosis but
   // neither maintained in the DEM nor escalated.
-  const HealthReport::ContractStats* stats = health_.stats(v.contract);
-  const bool over = stats != nullptr && judged_over_budget(*stats);
+  const HealthReport::ContractStats& stats = *health_.stats(v.contract);
+  const bool over = stats.over_budget();
 
   if (dem_ != nullptr && over) report_budget_to_dem(v.contract, true);
 
@@ -217,8 +182,8 @@ void MonitorRegistry::handle(const Violation& v) {
   // Escalation must be armed explicitly (escalate_to): the quarantine hook
   // alone — pre-wired by vfb::System — must not sanction anyone unless the
   // integrator opted into a degraded mode.
-  if (!escalated_ && modes_ != nullptr && over && stats != nullptr &&
-      stats->window_violating() >= escalation_threshold_) {
+  if (!escalated_ && modes_ != nullptr && over &&
+      stats.window_violating() >= escalation_threshold_) {
     escalate(v);
   }
 }
@@ -238,8 +203,7 @@ void MonitorRegistry::flush() {
     sync_observations(contract, ctx);
   }
   for (const auto& [contract, stats] : health_.contract_stats()) {
-    const bool judged = stats.window_observations() >= warmup_;
-    const bool over = judged && stats.over_budget();
+    const bool over = stats.over_budget();
     // Only contracts the DEM already knows get passed-reports: a contract
     // that never went over budget has no event to heal, and inventing one
     // would pollute the event table.
@@ -287,16 +251,6 @@ void MonitorRegistry::handle_aged_out(const bsw::Dtc& dtc) {
   const std::string& target =
       recovery_mode_.empty() ? pre_escalation_mode_ : recovery_mode_;
   if (!target.empty()) modes_->request(target);
-}
-
-void MonitorRegistry::reset() {
-  health_.clear();
-  escalated_ = false;
-  pre_escalation_mode_.clear();
-  for (auto& [contract, ctx] : contracts_) {
-    ctx.quarantined_instance.clear();
-    ctx.has_violation = false;
-  }
 }
 
 }  // namespace orte::rv

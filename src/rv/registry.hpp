@@ -1,11 +1,9 @@
 // MonitorRegistry: the fan-in point of the runtime-verification layer. It
 // subscribes ONE listener to the sim::Trace and routes each record through
-// a (category_id, subject_id) index built at attach() time from the
-// monitors' declared subscriptions. Per-subject monitors (arrival,
-// deadline, latency source/sink) are reached in one hash lookup by interned
-// ID — cost per record is O(1) in the monitor count, zero for categories
-// nobody watches; a per-category wildcard bucket serves any-subject
-// automaton rules.
+// one (category_id, subject_id) table built at attach() time from the keys
+// each monitor's subscribe() returns: one category lookup, one subject
+// lookup, then the monitors of that key in attach order — cost per record
+// is O(1) in the monitor count, zero for categories nobody watches.
 //
 // Violations flow three ways, mirroring §4's error-containment story:
 //  (a) recorded in the queryable HealthReport, which keeps *rate-based*
@@ -83,7 +81,7 @@ class MonitorRegistry {
                  std::uint32_t aging_cycles = 3);
   /// Request `degraded_mode` once a single contract is over its violation
   /// budget with at least `threshold` window violations (re-armed by
-  /// recovery or reset()). A threshold of 0 is coerced to 1.
+  /// recovery). A threshold of 0 is coerced to 1.
   void escalate_to(bsw::ModeMachine& modes, std::string degraded_mode,
                    std::size_t threshold = 1);
   /// Called with the offending instance when escalation triggers. Inert
@@ -98,10 +96,6 @@ class MonitorRegistry {
   /// when escalation fired. The transition must be declared on the mode
   /// machine (e.g. DEGRADED -> RUN) or the request is rejected.
   void recover_to(std::string recovery_mode);
-  /// Minimum judged observations a contract's window needs before budget
-  /// verdicts apply (warm-up): below it, neither DEM reporting nor
-  /// escalation judge the contract. Default 0 (judge immediately).
-  void set_warmup(std::uint64_t min_observations);
   void on_violation(ViolationCallback cb);
 
   /// Feed a violation raised OUTSIDE the trace-routed monitors into the
@@ -114,22 +108,21 @@ class MonitorRegistry {
   /// Close one evaluation window: pull every monitor's observation count
   /// into the health report, report each known contract to the DEM (failed
   /// while over budget, passed when back within), evaluate escalation for
-  /// contracts whose warm-up completed without a fresh violation, then
-  /// start a new window. Call periodically (e.g. once per operation cycle,
-  /// before Dem::operation_cycle_end) — the heartbeat of the §2 loop.
+  /// over-budget contracts, then start a new window. Call periodically
+  /// (e.g. once per operation cycle, before Dem::operation_cycle_end) — the
+  /// heartbeat of the §2 loop.
   void flush();
 
   // --- Queries --------------------------------------------------------------
   [[nodiscard]] const HealthReport& health() const { return health_; }
   [[nodiscard]] std::size_t monitor_count() const { return monitors_.size(); }
-  /// Records whose category at least one monitor subscribes to (routed
-  /// through the dispatch index — the same semantics as the pre-interning
-  /// category router, whether or not a subject bucket matched).
+  /// Records whose category at least one monitor subscribes to, whether or
+  /// not a monitor watches their subject.
   [[nodiscard]] std::uint64_t records_routed() const {
     return records_routed_;
   }
   /// Of the routed records, how many were delivered to at least one
-  /// monitor (subject bucket hit or wildcard present).
+  /// monitor (their (category, subject) key is watched).
   [[nodiscard]] std::uint64_t records_delivered() const {
     return records_delivered_;
   }
@@ -141,19 +134,9 @@ class MonitorRegistry {
   /// Completed violate→degrade→heal→recover cycles.
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
 
-  /// Forget all recorded violations and re-arm escalation (monitors keep
-  /// their incremental state; use between operation cycles).
-  void reset();
-
  private:
-  /// Dispatch bucket of one watched category: monitors keyed by interned
-  /// subject ID, plus the wildcard (any-subject) list. A monitor with a
-  /// wildcard subscription on a category is never also entered in that
-  /// category's subject buckets (it would observe the same record twice).
-  struct CategoryBucket {
-    std::unordered_map<sim::TraceId, std::vector<Monitor*>> by_subject;
-    std::vector<Monitor*> wildcard;
-  };
+  /// Monitors of one watched category, keyed by interned subject ID.
+  using CategoryRow = std::unordered_map<sim::TraceId, std::vector<Monitor*>>;
 
   /// Per-contract escalation bookkeeping.
   struct ContractCtx {
@@ -167,16 +150,13 @@ class MonitorRegistry {
   void handle(const Violation& v);
   /// Pull cumulative observations of `contract`'s monitors into health_.
   void sync_observations(const std::string& contract, const ContractCtx& ctx);
-  /// Warm-up-gated budget verdict for the contract's current window.
-  [[nodiscard]] bool judged_over_budget(
-      const HealthReport::ContractStats& stats) const;
   void report_budget_to_dem(const std::string& contract, bool over);
   void escalate(const Violation& cause);
   void handle_aged_out(const bsw::Dtc& dtc);
 
   sim::Trace& trace_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
-  std::unordered_map<sim::TraceId, CategoryBucket> index_;
+  std::unordered_map<sim::TraceId, CategoryRow> index_;
   std::map<std::string, ContractCtx, std::less<>> contracts_;
   HealthReport health_;
   std::vector<ViolationCallback> callbacks_;
@@ -191,7 +171,6 @@ class MonitorRegistry {
   std::string recovery_mode_;        ///< Explicit target; "" = snapshot.
   std::string pre_escalation_mode_;  ///< Captured when escalation fired.
   std::size_t escalation_threshold_ = 1;
-  std::uint64_t warmup_ = 0;
   bool escalated_ = false;
   std::uint64_t recoveries_ = 0;
   QuarantineHook quarantine_;

@@ -157,6 +157,11 @@ std::unordered_set<std::string_view> reach(
 
 ChainAnalysis analyze_chains(const vfb::Lowering& lowering,
                              const ContractMap& contracts) {
+  // A bus without a positive bitrate cannot be timed (and V5 rejects it).
+  const bool can = lowering.bus == vfb::BusKind::kCan;
+  if ((can ? lowering.can.bitrate_bps : lowering.flexray.bitrate_bps) <= 0) {
+    return {};
+  }
   // Every task, and the event tasks by the receiver slot that activates them.
   analysis::HolisticModel holistic;
   std::map<std::string_view, std::vector<std::string>, std::less<>> consumers;
@@ -207,7 +212,6 @@ ChainAnalysis analyze_chains(const vfb::Lowering& lowering,
   }
 
   analysis::BusSpec bus;
-  const bool can = lowering.bus == vfb::BusKind::kCan;
   if (can) {
     bus.can_bitrate_bps = lowering.can.bitrate_bps;
   } else {

@@ -105,7 +105,7 @@ struct ChainAnalysis {
 /// are triggered, so each write sends the whole PDU once) and activating the
 /// event tasks of all its receivers; one local dependency per same-ECU
 /// activation. FlexRay frames are bounded by the cycle the lowering
-/// configures.
+/// configures. A bus bitrate that is not positive yields an empty analysis.
 [[nodiscard]] ChainAnalysis analyze_chains(
     const vfb::Lowering& lowering,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts);

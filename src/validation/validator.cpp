@@ -3,6 +3,7 @@
 #include "validation/detectability.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -457,7 +458,8 @@ class Pass {
   }
 
   // --- V1/V2/V5 (plan level): every instance deployed, client-server
-  // connectors stay on one ECU, per-ECU task budget holds.
+  // connectors stay on one ECU, budgets and the bus are ones the runtime
+  // can take.
   void check_deployment(const vfb::Lowering& lowering) {
     for (const auto& inst : model_.instances()) {
       const auto it = plan_->instances.find(inst.name);
@@ -481,11 +483,34 @@ class Pass {
                  "deploy client and server on one ECU");
       }
     }
+    // vfb::System builds the plan's bus whether or not a signal crosses it.
+    const bool can = plan_->bus == vfb::BusKind::kCan;
+    const std::int64_t bitrate =
+        can ? plan_->can.bitrate_bps : plan_->flexray.bitrate_bps;
+    if (bitrate <= 0) {
+      out_.add("V5", Severity::kError, "bus",
+               "bus bitrate " + std::to_string(bitrate) +
+                   " bps is not positive",
+               can ? "set plan.can.bitrate_bps"
+                   : "set plan.flexray.bitrate_bps");
+    }
+    if (!can && plan_->flexray.static_slots == 0) {
+      out_.add("V5", Severity::kError, "bus",
+               "a FlexRay cycle needs at least one static slot",
+               "set plan.flexray.static_slots");
+    }
   }
 
   void check_budget(const std::string& instance,
                     const InstanceDeployment& dep) {
-    if (dep.budget <= 0) return;
+    if (dep.budget < 0) {
+      out_.add("V5", Severity::kError, instance,
+               "execution budget " + std::to_string(dep.budget) +
+                   " ns is negative",
+               "use a positive budget, or 0 for none");
+      return;
+    }
+    if (dep.budget == 0) return;
     const auto* inst = model_.find_instance(instance);
     if (inst == nullptr) return;
     const ComponentType* type = model_.find_type(inst->type);

@@ -250,8 +250,8 @@ void System::build_monitors(
                monitors[i].kind == MonitorEntry::Kind::kAutomaton &&
                monitors[i].behaviour == m.behaviour;
              ++i) {
-          spec.labels.push_back({"rte.write", monitors[i].subject,
-                                 monitors[i].label, monitors[i].blame});
+          spec.labels.push_back(
+              {monitors[i].subject, monitors[i].label, monitors[i].blame});
         }
         --i;
         registry_->add_automaton(std::move(spec));

@@ -136,6 +136,14 @@ TEST(CanBus, FifoAmongEqualIdsFromOneNode) {
   EXPECT_EQ(names, (std::vector<std::string>{"first", "second"}));
 }
 
+TEST(CanBus, NonPositiveBitrateRejected) {
+  Fixture f;
+  EXPECT_THROW(CanBus(f.kernel, f.trace, {.bitrate_bps = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(CanBus(f.kernel, f.trace, {.bitrate_bps = -1}),
+               std::invalid_argument);
+}
+
 TEST(CanBus, OversizedPayloadRejected) {
   Fixture f;
   CanBus bus(f.kernel, f.trace, {});

@@ -65,12 +65,12 @@ TEST(FiScoring, DetectorOfMapsEveryMonitorKind) {
   EXPECT_EQ(fi::detector_of("period"), fi::kDetArrival);
   EXPECT_EQ(fi::detector_of("jitter"), fi::kDetArrival);
   EXPECT_EQ(fi::detector_of("deadline"), fi::kDetDeadline);
-  EXPECT_EQ(fi::detector_of("response"), fi::kDetDeadline);
   EXPECT_EQ(fi::detector_of("latency"), fi::kDetLatency);
   EXPECT_EQ(fi::detector_of("range"), fi::kDetRange);
   EXPECT_EQ(fi::detector_of("automaton"), fi::kDetAutomaton);
   EXPECT_EQ(fi::detector_of("alive"), fi::kDetAlive);
   EXPECT_EQ(fi::detector_of("???"), 0u);
+  EXPECT_EQ(fi::detector_of("response"), 0u);  // no monitor raises it
 }
 
 // --- classify(): one firing and one non-firing case per outcome class ---------

@@ -188,6 +188,18 @@ TEST(FlexRay, ZeroFrameIdRejected) {
   EXPECT_THROW(tx.send(make_frame(0, 4)), std::invalid_argument);
 }
 
+TEST(FlexRay, InvalidConfigRejected) {
+  Fixture f;
+  FlexRayConfig no_bitrate = small_config();
+  no_bitrate.bitrate_bps = 0;
+  EXPECT_THROW(FlexRayBus(f.kernel, f.trace, no_bitrate),
+               std::invalid_argument);
+  FlexRayConfig no_slots = small_config();
+  no_slots.static_slots = 0;
+  EXPECT_THROW(FlexRayBus(f.kernel, f.trace, no_slots),
+               std::invalid_argument);
+}
+
 TEST(FlexRay, OversizedStaticPayloadRejected) {
   Fixture f;
   FlexRayBus bus(f.kernel, f.trace, small_config());

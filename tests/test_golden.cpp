@@ -181,9 +181,7 @@ vfb::Composition pipeline_model(int pipelines, bool implicit) {
   return model;
 }
 
-Digest run_pipelines(int pipelines, bool rv_on, bool implicit,
-                     sim::Duration horizon) {
-  const vfb::Composition model = pipeline_model(pipelines, implicit);
+vfb::DeploymentPlan pipeline_plan(int pipelines, bool rv_on) {
   vfb::DeploymentPlan plan;
   for (int i = 0; i < pipelines; ++i) {
     const std::string ecu = "ecu" + std::to_string(i / kPipelinesPerEcu);
@@ -191,9 +189,15 @@ Digest run_pipelines(int pipelines, bool rv_on, bool implicit,
     plan.instances["filter" + std::to_string(i)] = {.ecu = ecu};
   }
   plan.runtime_verification = rv_on;
+  return plan;
+}
+
+Digest run_pipelines(int pipelines, bool rv_on, bool implicit,
+                     sim::Duration horizon) {
+  const vfb::Composition model = pipeline_model(pipelines, implicit);
   sim::Kernel kernel;
   sim::Trace trace;
-  vfb::System sys(kernel, trace, model, plan);
+  vfb::System sys(kernel, trace, model, pipeline_plan(pipelines, rv_on));
   sys.run_for(horizon);
   return digest_of(trace);
 }
@@ -212,6 +216,20 @@ TEST(GoldenDigest, Pipelines64RvOff) {
 TEST(GoldenDigest, Pipelines64Implicit) {
   expect_digest(run_pipelines(64, true, true, milliseconds(200)),
                 0x459e168f311d3ebdull, 140865);
+}
+
+TEST(GoldenDigest, Pipelines64RvRoutingCounters) {
+  // In 100 ms the 64 pipelines emit 6 400 sensor writes, 12 800 runnable
+  // records (sensor and filter) and 12 800 task completions: all 32 000 are
+  // of a watched category. Only the 6 400 sensor runnable records name a
+  // subject no monitor watches, so 25 600 reach a monitor.
+  const vfb::Composition model = pipeline_model(64, false);
+  sim::Kernel kernel;
+  sim::Trace trace;
+  vfb::System sys(kernel, trace, model, pipeline_plan(64, true));
+  sys.run_for(milliseconds(100));
+  EXPECT_EQ(sys.monitors()->records_routed(), 32000u);
+  EXPECT_EQ(sys.monitors()->records_delivered(), 25600u);
 }
 
 TEST(GoldenDigest, Pipelines256OnFourEcus) {

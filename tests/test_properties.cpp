@@ -727,8 +727,9 @@ TEST_P(ValidatorCompleteness, CleanVerdictImpliesThrowFreeGeneration) {
 TEST_P(ValidatorCompleteness, RejectedModelIsRejectedByStrictConstruction) {
   Rng rng(GetParam());
   auto m = random_vfb_model(rng);
-  // Inject one random defect the validator must catch.
-  switch (rng.index(4)) {
+  // Inject one defect the validator must catch; the seed picks it, so the
+  // 20 seeds cover all 8 kinds.
+  switch (GetParam() % 8) {
     case 0:  // undeployed instance
       m.plan.instances.erase(m.plan.instances.begin());
       break;
@@ -738,8 +739,22 @@ TEST_P(ValidatorCompleteness, RejectedModelIsRejectedByStrictConstruction) {
     case 2:  // reversed connector
       m.comp.add_connector({"k0", "in", "p0", "out"});
       break;
-    default:  // instance of an unknown type
+    case 3:  // instance of an unknown type
       m.comp.add_instance({"zombie", "NoSuchType"});
+      break;
+    case 4:  // CAN bus without a bitrate
+      m.plan.can.bitrate_bps = 0;
+      break;
+    case 5:  // FlexRay bus without a bitrate
+      m.plan.bus = vfb::BusKind::kFlexRay;
+      m.plan.flexray.bitrate_bps = 0;
+      break;
+    case 6:  // FlexRay cycle without a static slot
+      m.plan.bus = vfb::BusKind::kFlexRay;
+      m.plan.flexray.static_slots = 0;
+      break;
+    default:  // negative execution budget
+      m.plan.instances.begin()->second.budget = -5;
       break;
   }
   const auto report = validation::validate(m.comp, m.plan);

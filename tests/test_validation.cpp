@@ -440,6 +440,42 @@ TEST(ValidatorV5, BudgetBelowWcetWarns) {
   EXPECT_NE(d.render().find("budget is below"), std::string::npos);
 }
 
+TEST(ValidatorV5, PlanValuesTheRuntimeCannotTakeAreErrors) {
+  // Each plan holds one value the bus or the OS cannot take; strict
+  // construction must reject it with the V5 report instead of crashing.
+  const Composition c = pipeline(DataAccessKind::kImplicitWrite,
+                                 DataAccessKind::kImplicitRead);
+  DeploymentPlan cross_ecu;
+  cross_ecu.instances["p"] = {.ecu = "a"};
+  cross_ecu.instances["k"] = {.ecu = "b"};
+  std::vector<DeploymentPlan> plans(5, cross_ecu);
+  plans[0].can.bitrate_bps = 0;
+  plans[1].bus = BusKind::kFlexRay;
+  plans[1].flexray.bitrate_bps = 0;
+  plans[2] = same_ecu_plan();  // no signal crosses the bus
+  plans[2].bus = BusKind::kFlexRay;
+  plans[2].flexray.static_slots = 0;
+  plans[3].bus = BusKind::kFlexRay;
+  plans[3].flexray.static_slots = 0;
+  plans[4].instances["p"].budget = -5;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const Diagnostics d = orte::validation::validate(c, plans[i]);
+    const auto v5 = d.by_rule("V5");
+    ASSERT_EQ(v5.size(), 1u) << "plan " << i << "\n" << d.render();
+    EXPECT_EQ(v5.front()->severity, Severity::kError) << "plan " << i;
+    Kernel kernel;
+    Trace trace;
+    try {
+      System sys(kernel, trace, c, plans[i]);
+      ADD_FAILURE() << "plan " << i << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "System: model validation failed\n" + d.render())
+          << "plan " << i;
+    }
+  }
+}
+
 // --- V6: client-server call cycles ---------------------------------------------
 
 TEST(ValidatorV6, CallCycleIsDetectedAndPrinted) {
