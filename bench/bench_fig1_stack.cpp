@@ -11,7 +11,6 @@
 
 #include "bench_gbench_json.hpp"
 #include "bsw/com.hpp"
-#include "bsw/nvm.hpp"
 #include "contracts/contract.hpp"
 #include "contracts/network.hpp"
 #include "sim/kernel.hpp"
@@ -33,7 +32,7 @@ void print_inventory() {
   std::puts("  COM services               src/bsw/com         signals, I-PDUs, tx modes, timeouts");
   std::puts("  Mode management            src/bsw/mode        ModeMachine");
   std::puts("  Diagnostics                src/bsw/dem         Dem, DTC storage, aging");
-  std::puts("  Memory services            src/bsw/nvm         NvM, CRC16, redundant blocks");
+  std::puts("  Memory services            -                   not modelled");
   std::puts("  Error handling             src/bsw + trace     DEM events, com timeouts, wdg");
   std::puts("  Bus systems                src/can,flexray,ttp CAN 2.0A, FlexRay 2.1, TTP");
   std::puts("  NoC / MPSoC (sec. 4)       src/noc             TDMA NoC, CAN overlay");
@@ -106,15 +105,6 @@ void BM_ComPackUnpack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ComPackUnpack);
-
-void BM_Crc16Block(benchmark::State& state) {
-  std::vector<std::uint8_t> block(static_cast<std::size_t>(state.range(0)),
-                                  0xA5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bsw::crc16(block));
-  }
-}
-BENCHMARK(BM_Crc16Block)->Arg(16)->Arg(256)->Arg(4096);
 
 void BM_ContractSatisfies(benchmark::State& state) {
   contracts::FlowSpec g{.flow = "x",

@@ -1,5 +1,5 @@
 // FlexRay timing analysis: latency bounds for signals in the static (TDMA)
-// segment and a sufficient schedulability test for the dynamic segment.
+// segment.
 //
 // Static segment: a signal in slot s is delivered at the end of slot s every
 // cycle. A write that *just* misses the slot's transmission start waits one
@@ -8,12 +8,7 @@
 //   worst = cycle_len + slot_len
 //   jitter of the delivery *instants* = 0 (strictly periodic) — the
 //   paper's timing-isolation claim in its purest form.
-// Dynamic segment: frame m (priority = id order) is transmitted in the first
-// cycle where every higher-priority pending frame plus m fits into the
-// minislot budget; we provide the standard sufficient bound in cycles.
 #pragma once
-
-#include <optional>
 
 #include "flexray/flexray_bus.hpp"
 #include "sim/time.hpp"
@@ -34,13 +29,5 @@ struct FlexRayStaticLatency {
 /// under the given bus configuration: every static slot has the same width,
 /// so a slot's position only shifts the phase, not the bounds.
 FlexRayStaticLatency flexray_static_latency(const flexray::FlexRayConfig& cfg);
-
-/// Worst-case number of communication cycles a dynamic frame with
-/// `minislots_needed` waits, given the total higher-priority demand in
-/// minislots per cycle. nullopt = may be deferred indefinitely (demand
-/// exceeds the per-cycle budget).
-std::optional<int> flexray_dynamic_cycles(std::size_t minislots_total,
-                                          std::size_t hp_demand,
-                                          std::size_t minislots_needed);
 
 }  // namespace orte::analysis

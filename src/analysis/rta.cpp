@@ -9,9 +9,9 @@ std::optional<Duration> response_time(
   const Duration deadline =
       task.deadline > 0 ? task.deadline : task.period;
   const Duration horizon = deadline > 0 ? deadline : 1000 * task.period;
-  Duration w = task.wcet + task.blocking;
+  Duration w = task.wcet;
   while (true) {
-    Duration next = task.wcet + task.blocking;
+    Duration next = task.wcet;
     for (const auto& j : taskset) {
       // Equal-priority peers count as interference too: the dispatcher
       // breaks ties by arrival (incumbent wins), so a peer job released

@@ -2,8 +2,8 @@
 // "distributed real-time schedulability analysis").
 //
 // Classic exact analysis for constrained-deadline, preemptive fixed-priority
-// scheduling with release jitter and blocking:
-//   w^{n+1} = C_i + B_i + sum_{j in hp(i)} ceil((w^n + J_j) / T_j) * C_j
+// scheduling with release jitter:
+//   w^{n+1} = C_i + sum_{j in hp(i)} ceil((w^n + J_j) / T_j) * C_j
 //   R_i     = w + J_i
 // The recurrence either converges (R_i is the exact worst case under the
 // model) or exceeds the deadline, in which case the task is unschedulable.
@@ -30,7 +30,6 @@ struct AnalysisTask {
   Duration period = 0;
   Duration deadline = 0;  ///< 0 = implicit (== period).
   Duration jitter = 0;    ///< Release jitter.
-  Duration blocking = 0;  ///< Max blocking from lower-priority critical sections.
   int priority = 0;       ///< Higher value = higher priority.
 };
 

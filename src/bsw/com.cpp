@@ -128,31 +128,10 @@ void Com::send_signal(std::string_view name, std::uint64_t value) {
   TxPdu& pdu = pit->second;
   pack_signal(pdu.payload, sig.cfg.bit_offset, sig.cfg.bit_length, value);
   pdu.dirty = true;
-  sig.last_value = value;
-  sig.valid = true;
   if (sig.cfg.triggered && (pdu.cfg.mode == TxMode::kDirect ||
                             pdu.cfg.mode == TxMode::kMixed)) {
     transmit(pdu);
   }
-}
-
-std::optional<std::uint64_t> Com::read_signal(std::string_view name) const {
-  auto it = signals_.find(name);
-  if (it == signals_.end()) {
-    throw std::invalid_argument("Com::read_signal: unknown signal");
-  }
-  if (!it->second.valid) return std::nullopt;
-  return it->second.last_value;
-}
-
-std::optional<Time> Com::signal_age(std::string_view name) const {
-  auto it = signals_.find(name);
-  if (it == signals_.end()) {
-    throw std::invalid_argument("Com::signal_age: unknown signal");
-  }
-  auto pit = rx_.find(it->second.cfg.ipdu);
-  if (pit == rx_.end() || pit->second.last_rx < 0) return std::nullopt;
-  return pit->second.last_rx;
 }
 
 void Com::on_signal(std::string_view name, SignalCallback cb) {
@@ -190,10 +169,9 @@ void Com::handle_rx(const net::Frame& frame) {
   // Update and notify every signal mapped onto this PDU.
   for (auto& [name, sig] : signals_) {
     if (sig.cfg.ipdu != pdu.cfg.name) continue;
-    sig.last_value =
+    const std::uint64_t value =
         unpack_signal(pdu.payload, sig.cfg.bit_offset, sig.cfg.bit_length);
-    sig.valid = true;
-    for (const auto& cb : sig.callbacks) cb(sig.last_value);
+    for (const auto& cb : sig.callbacks) cb(value);
   }
 }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -77,12 +76,7 @@ class Com {
   /// Write a signal value (tx side). Direct/mixed triggered signals transmit
   /// the owning PDU immediately.
   void send_signal(std::string_view name, std::uint64_t value);
-  /// Latest received value (rx side); nullopt before first reception.
-  [[nodiscard]] std::optional<std::uint64_t> read_signal(
-      std::string_view name) const;
-  /// Reception instant of the PDU carrying the signal's latest value.
-  [[nodiscard]] std::optional<Time> signal_age(std::string_view name) const;
-
+  /// Invoke `cb` with the signal's value on every reception (rx side).
   void on_signal(std::string_view name, SignalCallback cb);
   void on_rx_timeout(TimeoutCallback cb) { timeout_cb_ = std::move(cb); }
 
@@ -105,8 +99,6 @@ class Com {
   };
   struct Signal {
     SignalConfig cfg;
-    std::uint64_t last_value = 0;
-    bool valid = false;
     std::vector<SignalCallback> callbacks;
   };
 

@@ -97,11 +97,6 @@ void Dem::clear_all() {
   trace_.emit(kernel_.now(), "dem.cleared", "all");
 }
 
-bool Dem::is_failed(std::string_view event) const {
-  auto it = events_.find(event);
-  return it != events_.end() && it->second.failed;
-}
-
 std::optional<Dtc> Dem::dtc(std::string_view event) const {
   auto it = dtcs_.find(event);
   if (it == dtcs_.end()) return std::nullopt;

@@ -57,7 +57,6 @@ class Dem {
   /// debounce state.
   void clear_all();
 
-  [[nodiscard]] bool is_failed(std::string_view event) const;
   [[nodiscard]] std::optional<Dtc> dtc(std::string_view event) const;
   [[nodiscard]] std::vector<Dtc> stored_dtcs() const;
   [[nodiscard]] std::uint64_t reports() const { return reports_; }

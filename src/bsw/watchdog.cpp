@@ -36,11 +36,6 @@ void WatchdogManager::start() {
                             [this] { cycle(); }, sim::EventOrder::kObserver);
 }
 
-bool WatchdogManager::is_expired(std::string_view entity) const {
-  auto it = entities_.find(entity);
-  return it != entities_.end() && it->second.expired;
-}
-
 void WatchdogManager::cycle() {
   for (auto& [name, e] : entities_) {
     const bool ok = e.count >= e.cfg.min_indications &&

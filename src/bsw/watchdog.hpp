@@ -47,7 +47,6 @@ class WatchdogManager {
   void on_violation(ViolationCallback cb) { violation_cb_ = std::move(cb); }
 
   [[nodiscard]] std::uint64_t violations() const { return violations_; }
-  [[nodiscard]] bool is_expired(std::string_view entity) const;
 
  private:
   struct Entity {

@@ -44,6 +44,10 @@ CanBus::CanBus(sim::Kernel& kernel, sim::Trace& trace, CanConfig cfg)
   if (cfg_.bitrate_bps <= 0) {
     throw std::invalid_argument("CAN bitrate must be positive");
   }
+  // Negated so that NaN fails too.
+  if (!(cfg_.error_rate >= 0.0 && cfg_.error_rate < 1.0)) {
+    throw std::invalid_argument("CAN error rate must be in [0, 1)");
+  }
   bit_time_ = 1'000'000'000 / cfg_.bitrate_bps;
 }
 

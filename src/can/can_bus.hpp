@@ -61,7 +61,7 @@ struct CanConfig {
   std::string name = "can0";
   std::int64_t bitrate_bps = 500'000;  ///< Classic high-speed CAN.
   /// Independent per-frame corruption probability (error frames +
-  /// retransmission follow); 0 disables the fault model.
+  /// retransmission follow), in [0, 1); 0 disables the fault model.
   double error_rate = 0.0;
   std::uint64_t seed = 1;
 };

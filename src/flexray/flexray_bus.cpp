@@ -46,7 +46,8 @@ Duration FlexRayBus::cycle_length(const FlexRayConfig& cfg) {
 FlexRayBus::FlexRayBus(sim::Kernel& kernel, sim::Trace& trace,
                        FlexRayConfig cfg)
     : kernel_(kernel), trace_(trace), cfg_(std::move(cfg)) {
-  if (cfg_.bitrate_bps <= 0 || cfg_.static_slots == 0) {
+  if (cfg_.bitrate_bps <= 0 || cfg_.static_slots == 0 ||
+      cfg_.minislot_len < 0 || cfg_.network_idle < 0) {
     throw std::invalid_argument("FlexRay config invalid");
   }
   bit_time_ = 1'000'000'000 / cfg_.bitrate_bps;
@@ -179,11 +180,6 @@ void FlexRayBus::begin_dynamic_segment() {
 }
 
 void FlexRayBus::deliver(Frame frame) {
-  if (kernel_.now() >= blackout_from_ && kernel_.now() < blackout_until_) {
-    stats_.record_drop();
-    trace_.emit(kernel_.now(), "fr.blackout_drop", frame.name, frame.id);
-    return;
-  }
   if (fault_hook_) {
     const net::FaultVerdict verdict = fault_hook_(frame);
     if (verdict.drop) {

@@ -77,14 +77,6 @@ class FlexRayBus {
   /// Begin cycling. Call once after all assignments.
   void start();
 
-  /// Fault injection: the channel goes dark during [from, until) — every
-  /// frame scheduled for delivery in the window is lost (wire break, stuck
-  /// transceiver). Used by the dual-channel redundancy tests.
-  void fail_channel(Time from, Time until) {
-    blackout_from_ = from;
-    blackout_until_ = until;
-  }
-
   /// Install the fault-injection hook, consulted once per frame at the
   /// delivery point. Drop and in-place corruption are honored; delay is
   /// ignored — the TDMA slot structure pins delivery instants, which is the
@@ -131,8 +123,6 @@ class FlexRayBus {
   net::FaultHook fault_hook_;
   std::uint64_t cycle_count_ = 0;
   std::uint64_t dynamic_deferrals_ = 0;
-  Time blackout_from_ = sim::kForever;
-  Time blackout_until_ = sim::kForever;
   bool started_ = false;
 };
 

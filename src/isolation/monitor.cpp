@@ -1,56 +1,17 @@
 #include "isolation/monitor.hpp"
 
-#include <string>
-
 namespace orte::isolation {
 
 namespace {
 constexpr std::string_view kMiss = "task.deadline_miss";
-constexpr std::string_view kKill = "task.kill";
-constexpr std::string_view kLost = "task.activation_lost";
 }  // namespace
 
 ContainmentMonitor::ContainmentMonitor(const sim::Trace& trace)
-    : trace_(&trace), total_misses_at_start_(trace.count(kMiss)) {
-  const auto snapshot = [&trace](std::string_view category, Baseline& out) {
-    for (const auto& [subject_id, count] :
-         trace.subject_counts_by_id(trace.category_id(category))) {
-      out.emplace(subject_id, count);
-    }
-  };
-  snapshot(kMiss, misses_at_start_);
-  snapshot(kKill, kills_at_start_);
-  snapshot(kLost, lost_at_start_);
-}
-
-std::uint64_t ContainmentMonitor::delta(std::string_view category,
-                                        const Baseline& baseline,
-                                        std::string_view subject) const {
-  // Category/subject IDs are resolved per query (not cached at
-  // construction): the watched names may be interned only by emissions
-  // that happen after this monitor started.
-  const sim::TraceId subj = trace_->subject_id(subject);
-  if (subj == sim::kNoTraceId) return 0;
-  const std::uint64_t now = trace_->count(trace_->category_id(category), subj);
-  auto it = baseline.find(subj);
-  return now - (it == baseline.end() ? 0 : it->second);
-}
-
-std::uint64_t ContainmentMonitor::deadline_misses(std::string_view task) const {
-  return delta(kMiss, misses_at_start_, task);
-}
-
-std::uint64_t ContainmentMonitor::kills(std::string_view task) const {
-  return delta(kKill, kills_at_start_, task);
-}
-
-std::uint64_t ContainmentMonitor::activations_lost(
-    std::string_view task) const {
-  return delta(kLost, lost_at_start_, task);
-}
-
-std::uint64_t ContainmentMonitor::total_deadline_misses() const {
-  return trace_->count(kMiss) - total_misses_at_start_;
+    : trace_(&trace) {
+  for (const auto& [subject_id, count] :
+       trace.subject_counts_by_id(trace.category_id(kMiss))) {
+    misses_at_start_.emplace(subject_id, count);
+  }
 }
 
 std::uint64_t ContainmentMonitor::victim_misses(
@@ -58,10 +19,7 @@ std::uint64_t ContainmentMonitor::victim_misses(
   std::uint64_t n = 0;
   for (const auto& [task_id, count] :
        trace_->subject_counts_by_id(trace_->category_id(kMiss))) {
-    if (trace_->subject_name(task_id).find(aggressor) !=
-        std::string_view::npos) {
-      continue;
-    }
+    if (trace_->subject_name(task_id).starts_with(aggressor)) continue;
     auto it = misses_at_start_.find(task_id);
     n += count - (it == misses_at_start_.end() ? 0 : it->second);
   }

@@ -1,12 +1,10 @@
-// Containment monitor: classifies trace events per subject so experiments can
-// separate aggressor damage from victim damage (error containment = victims
-// unaffected while the aggressor is sanctioned).
+// Containment monitor: separates victim damage from aggressor damage (error
+// containment = victims unaffected while the aggressor is sanctioned).
 //
 // Implemented over the trace's incremental count index rather than a
-// listener: construction snapshots the per-subject counts as a baseline and
-// every query is "current index minus baseline". Semantics are unchanged
-// (only events from subscription time on count) but the monitor adds zero
-// per-record cost — the first consumer of the rv-style counting index.
+// listener: construction snapshots the per-task deadline-miss counts as a
+// baseline and a query is "current index minus baseline". Only events from
+// construction on count, and the monitor adds zero per-record cost.
 // Baselines are keyed by interned subject ID (stable for the trace's
 // lifetime), so queries compare integers, never strings.
 #pragma once
@@ -24,24 +22,13 @@ class ContainmentMonitor {
   /// Snapshots the trace's counts; only events from this point on count.
   explicit ContainmentMonitor(const sim::Trace& trace);
 
-  [[nodiscard]] std::uint64_t deadline_misses(std::string_view task) const;
-  [[nodiscard]] std::uint64_t kills(std::string_view task) const;
-  [[nodiscard]] std::uint64_t activations_lost(std::string_view task) const;
-  [[nodiscard]] std::uint64_t total_deadline_misses() const;
-  /// Deadline misses of every task except `aggressor` (victim damage).
+  /// Deadline misses of every task whose name does not start with
+  /// `aggressor`, the aggressor's task-name prefix (victim damage).
   [[nodiscard]] std::uint64_t victim_misses(std::string_view aggressor) const;
 
  private:
-  using Baseline = std::unordered_map<sim::TraceId, std::uint64_t>;
-
-  std::uint64_t delta(std::string_view category, const Baseline& baseline,
-                      std::string_view subject) const;
-
   const sim::Trace* trace_;
-  Baseline misses_at_start_;
-  Baseline kills_at_start_;
-  Baseline lost_at_start_;
-  std::uint64_t total_misses_at_start_ = 0;
+  std::unordered_map<sim::TraceId, std::uint64_t> misses_at_start_;
 };
 
 }  // namespace orte::isolation

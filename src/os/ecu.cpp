@@ -35,7 +35,6 @@ Task& Ecu::add_task(TaskConfig cfg) {
   Task& task = *tasks_.back();
   task.ecu_ = this;
   task.trace_id_ = trace_.intern_subject(task.cfg_.name);
-  task.index_ = tasks_.size() - 1;
   return task;
 }
 
@@ -46,11 +45,6 @@ int Ecu::add_partition(PartitionConfig cfg) {
   const sim::TraceId id = trace_.intern_subject(cfg.name);
   partitions_.push_back(Partition{std::move(cfg), id, 0, false, 0});
   return static_cast<int>(partitions_.size()) - 1;
-}
-
-int Ecu::add_resource(std::string name) {
-  resources_.push_back(Resource{std::move(name)});
-  return static_cast<int>(resources_.size()) - 1;
 }
 
 void Ecu::set_schedule_table(std::vector<TableEntry> entries, Duration cycle) {
@@ -68,19 +62,6 @@ void Ecu::start() {
   if (started_) throw std::logic_error("Ecu::start called twice");
   started_ = true;
   started_at_ = kernel_.now();
-
-  // Compute immediate-ceiling priorities from declared segment usage.
-  for (const auto& task : tasks_) {
-    for (const auto& seg : task->segments_) {
-      if (seg.resource >= 0) {
-        if (seg.resource >= static_cast<int>(resources_.size())) {
-          throw std::logic_error("segment references unknown resource");
-        }
-        auto& res = resources_[static_cast<std::size_t>(seg.resource)];
-        res.ceiling = std::max(res.ceiling, task->cfg_.priority);
-      }
-    }
-  }
 
   // Dispatch order for the ready set: priority descending, registration
   // order among equals (the stable sort keeps it).
@@ -126,14 +107,6 @@ void Ecu::start() {
 void Ecu::activate(Task& task) {
   if (!started_) throw std::logic_error("Ecu::activate before start()");
   activate_internal(task);
-}
-
-void Ecu::activate(std::string_view task_name) {
-  Task* t = find_task(task_name);
-  if (t == nullptr) {
-    throw std::invalid_argument("Ecu::activate: unknown task");
-  }
-  activate(*t);
 }
 
 Task* Ecu::find_task(std::string_view name) {
@@ -222,36 +195,10 @@ void Ecu::begin_job(Task& task) {
   }
 }
 
-bool Ecu::holds_ceiling(const Task& task) {
-  return task.state_ != Task::State::kSuspended && task.segment_started_ &&
-         task.segment_index_ < task.segments_.size() &&
-         task.segments_[task.segment_index_].resource >= 0;
-}
-
-void Ecu::track_ceiling(Task& task) {
-  const auto it = std::find(boosted_.begin(), boosted_.end(), &task);
-  const bool listed = it != boosted_.end();
-  if (holds_ceiling(task) == listed) return;
-  if (listed) {
-    boosted_.erase(it);
-  } else {
-    boosted_.push_back(&task);
-  }
-}
-
 void Ecu::set_ready(const Task& task, bool ready) {
   const std::uint64_t bit = std::uint64_t{1} << (task.rank_ % 64);
   std::uint64_t& word = ready_bits_[task.rank_ / 64];
   word = ready ? word | bit : word & ~bit;
-}
-
-int Ecu::effective_priority(const Task& task) const {
-  int prio = task.cfg_.priority;
-  if (holds_ceiling(task)) {
-    const int res = task.segments_[task.segment_index_].resource;
-    prio = std::max(prio, resources_[static_cast<std::size_t>(res)].ceiling);
-  }
-  return prio;
 }
 
 bool Ecu::eligible(const Task& task) const {
@@ -263,22 +210,13 @@ bool Ecu::eligible(const Task& task) const {
   return true;
 }
 
-// The dispatch rule: strictly higher effective priority wins; the incumbent
-// wins ties so equal priorities never preempt each other (OSEK semantics);
-// otherwise the lower registration index wins.
-bool Ecu::wins(const Task& a, const Task& b) const {
-  const int pa = effective_priority(a);
-  const int pb = effective_priority(b);
-  if (pa != pb) return pa > pb;
-  if (&a == running_ || &b == running_) return &a == running_;
-  return a.index_ < b.index_;
-}
-
+// The dispatch rule: strictly higher priority wins; the incumbent wins ties
+// so equal priorities never preempt each other (OSEK semantics); otherwise
+// the lower registration index wins.
 Task* Ecu::pick_next() {
-  // The first eligible task in dispatch order has the highest base priority
-  // (lowest index among equals), so it beats every other task running at
-  // its base priority. Only the incumbent (tie rule) and jobs raised to a
-  // resource ceiling can still beat it.
+  // The first eligible task in dispatch order has the highest priority
+  // (lowest index among equals), so it beats every other task. Only the
+  // incumbent (tie rule) can still beat it.
   Task* best = nullptr;
   for (std::size_t w = 0; w < ready_bits_.size() && best == nullptr; ++w) {
     for (std::uint64_t bits = ready_bits_[w]; bits != 0; bits &= bits - 1) {
@@ -290,11 +228,10 @@ Task* Ecu::pick_next() {
       }
     }
   }
-  const auto challenge = [this, &best](Task* t) {
-    if (eligible(*t) && (best == nullptr || wins(*t, *best))) best = t;
-  };
-  if (running_ != nullptr) challenge(running_);
-  for (Task* t : boosted_) challenge(t);
+  if (best != nullptr && running_ != nullptr && eligible(*running_) &&
+      running_->cfg_.priority >= best->cfg_.priority) {
+    best = running_;
+  }
   assert(best == pick_next_linear());
   return best;
 }
@@ -306,7 +243,7 @@ Task* Ecu::pick_next_linear() const {
   for (const auto& up : tasks_) {
     Task* t = up.get();
     if (!eligible(*t)) continue;
-    const int prio = effective_priority(*t);
+    const int prio = t->cfg_.priority;
     if (best == nullptr || prio > best_prio ||
         (prio == best_prio && t == running_)) {
       best = t;
@@ -383,7 +320,6 @@ void Ecu::dispatch() {
     Task& t = *running_;
     if (!t.segment_started_) {
       t.segment_started_ = true;
-      track_ceiling(t);
       auto& seg = t.segments_[t.segment_index_];
       t.segment_remaining_ = seg.duration ? seg.duration() : 0;
       if (t.segment_remaining_ < 0) {
@@ -436,7 +372,6 @@ void Ecu::run_segment_boundary(Task& task) {
   if (task.segment_index_ < task.segments_.size()) {
     task.segment_started_ = false;
     task.segment_remaining_ = kUnevaluated;
-    track_ceiling(task);
     return;  // dispatch() (in caller) will start the next segment
   }
   complete_job(task);
@@ -451,7 +386,6 @@ void Ecu::complete_job(Task& task) {
   if (task.completion_cb_) task.completion_cb_(task.activation_time_, now);
   task.state_ = Task::State::kSuspended;
   set_ready(task, false);
-  track_ceiling(task);
   // The job left the system before (or exactly at) its deadline: retire the
   // miss observer instead of letting it fire as a dead event. Cancelling a
   // handle whose event already fired (miss already counted) is a no-op.
@@ -468,7 +402,6 @@ void Ecu::kill_job(Task& task, std::string_view reason) {
   trace_.emit(kernel_.now(), cat_.kill, task.trace_id_, 0, reason);
   task.state_ = Task::State::kSuspended;
   set_ready(task, false);
-  track_ceiling(task);
   kernel_.cancel(task.deadline_event_);  // stale-safe if it already fired
   if (running_ == &task) running_ = nullptr;
   if (!task.pending_.empty()) {

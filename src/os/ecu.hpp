@@ -4,8 +4,6 @@
 //  * preemptive fixed-priority scheduling (BCC1-like basic tasks),
 //  * periodic activation via implicit alarms (period + offset) and explicit
 //    event activation (Ecu::activate) for chained / bus-triggered tasks,
-//  * immediate priority-ceiling resources (OSEK OSEK-PCP) at segment
-//    granularity,
 //  * time-triggered dispatch via schedule tables,
 //  * timing isolation: per-job execution budgets (kill / no action) and
 //    partition budgets with periodic replenishment (throttle) — the
@@ -20,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -54,9 +51,6 @@ struct Segment {
   std::function<void()> before;
   /// Zero-time action at segment completion (e.g. RTE implicit write, send).
   std::function<void()> after;
-  /// If >= 0: segment runs holding the resource with this id (immediate
-  /// priority ceiling applies for the whole segment).
-  int resource = -1;
 };
 
 struct TaskConfig {
@@ -110,7 +104,7 @@ class Task {
   void set_body(Duration wcet, std::function<void()> on_complete = {}) {
     segments_.clear();
     segments_.push_back(
-        Segment{[wcet] { return wcet; }, {}, std::move(on_complete), -1});
+        Segment{[wcet] { return wcet; }, {}, std::move(on_complete)});
   }
 
   /// Convenience: single variable-duration segment.
@@ -118,7 +112,7 @@ class Task {
                 std::function<void()> on_complete = {}) {
     segments_.clear();
     segments_.push_back(
-        Segment{std::move(duration), {}, std::move(on_complete), -1});
+        Segment{std::move(duration), {}, std::move(on_complete)});
   }
 
   /// Invoked at each job completion with (activation, completion) instants.
@@ -159,7 +153,6 @@ class Task {
                         ///< observers capture only {Task*, seq} and stay
                         ///< within std::function's small-buffer size.
   sim::TraceId trace_id_ = sim::kNoTraceId;  ///< Interned name (add_task).
-  std::size_t index_ = 0;  ///< Registration order on the owning ECU.
   std::size_t rank_ = 0;   ///< Position in the ECU's dispatch order (start).
   std::vector<Segment> segments_;
   std::function<void(Time, Time)> completion_cb_;
@@ -206,10 +199,6 @@ class Ecu {
   /// Register a partition (shared CPU reservation); returns its id.
   int add_partition(PartitionConfig cfg);
 
-  /// Register a priority-ceiling resource; returns its id. Ceilings are
-  /// computed automatically at start() from segment usage.
-  int add_resource(std::string name);
-
   /// Install a time-triggered schedule table (activations at fixed offsets,
   /// repeating every `cycle`).
   void set_schedule_table(std::vector<TableEntry> entries, Duration cycle);
@@ -218,13 +207,12 @@ class Ecu {
   /// incoming task whenever the running task changes.
   void set_context_switch_overhead(Duration d) { ctx_switch_ = d; }
 
-  /// Compute ceilings, arm alarms and the schedule table. Call once, before
-  /// Kernel::run_until.
+  /// Arm alarms, the schedule table and partition replenishment. Call once,
+  /// before Kernel::run_until.
   void start();
 
   /// Event-activate a task (chained activation, bus RX, application event).
   void activate(Task& task);
-  void activate(std::string_view task_name);
 
   Task* find_task(std::string_view name);
   const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
@@ -248,10 +236,6 @@ class Ecu {
         activation_queued, activation_lost, arrival_blocked,
         partition_exhausted, partition_replenish;
   };
-  struct Resource {
-    std::string name;
-    int ceiling = std::numeric_limits<int>::min();
-  };
 
   sim::Kernel& kernel_;
   sim::Trace& trace_;
@@ -259,7 +243,6 @@ class Ecu {
   Categories cat_;
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<Partition> partitions_;
-  std::vector<Resource> resources_;
   std::vector<TableEntry> table_;
   Duration table_cycle_ = 0;
   Duration ctx_switch_ = 0;
@@ -279,9 +262,6 @@ class Ecu {
   std::vector<Task*> by_rank_;
   /// Bit r is set while by_rank_[r] has a job (is not suspended).
   std::vector<std::uint64_t> ready_bits_;
-  /// Jobs inside a ceiling-resource segment: the only tasks whose effective
-  /// priority can exceed their base priority.
-  std::vector<Task*> boosted_;
 
   void activate_internal(Task& task);
   void begin_job(Task& task);
@@ -293,12 +273,8 @@ class Ecu {
   void run_segment_boundary(Task& task);  // completion of a run-chunk
   void complete_job(Task& task);
   void kill_job(Task& task, std::string_view reason);
-  static bool holds_ceiling(const Task& task);
-  void track_ceiling(Task& task);
   void set_ready(const Task& task, bool ready);
-  int effective_priority(const Task& task) const;
   bool eligible(const Task& task) const;
-  bool wins(const Task& a, const Task& b) const;
   Task* pick_next();
 #ifndef NDEBUG
   Task* pick_next_linear() const;  ///< Reference rule: full scan.

@@ -1,9 +1,6 @@
 #include "rv/health.hpp"
 
 #include <cmath>
-#include <sstream>
-
-#include "sim/time.hpp"
 
 namespace orte::rv {
 
@@ -55,28 +52,6 @@ const HealthReport::ContractStats* HealthReport::stats(
     std::string_view contract) const {
   auto it = contract_stats_.find(contract);
   return it == contract_stats_.end() ? nullptr : &it->second;
-}
-
-std::string HealthReport::render() const {
-  std::ostringstream os;
-  if (healthy()) {
-    os << "health: OK (0 violations)\n";
-    return os.str();
-  }
-  os << "health: " << total_ << " violation(s)";
-  if (violations_.size() < total_) {
-    os << " (showing last " << violations_.size() << ")";
-  }
-  os << "\n";
-  for (const auto& v : violations_) {
-    os << "  [" << v.kind << "] " << v.contract << " @ " << v.subject
-       << ": observed " << v.observed << " vs bound " << v.bound << " at t="
-       << v.when << " ns (streak " << v.streak << ", confidence "
-       << v.confidence << ")";
-    if (!v.detail.empty()) os << " — " << v.detail;
-    os << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace orte::rv

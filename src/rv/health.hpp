@@ -116,8 +116,6 @@ class HealthReport {
   contract_stats() const {
     return contract_stats_;
   }
-  /// Human-readable one-line-per-violation summary (diagnosis, examples).
-  [[nodiscard]] std::string render() const;
 
  private:
   std::deque<Violation> violations_;

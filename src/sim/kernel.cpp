@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/trace.hpp"
-
 namespace orte::sim {
 
 std::uint32_t Kernel::alloc_slot() {
@@ -196,23 +194,6 @@ KernelCounters Kernel::counters() const {
   c.wheel_flushed = wheel_flushed_;
   c.pool_slots = pool_.size();
   return c;
-}
-
-void Kernel::trace_counters(Trace& trace, std::string_view subject) const {
-  const KernelCounters c = counters();
-  const auto emit = [&](std::string_view category, std::uint64_t value) {
-    trace.emit(now_, category, subject, static_cast<std::int64_t>(value));
-  };
-  emit("kernel.pushed", c.pushed);
-  emit("kernel.popped", c.popped);
-  emit("kernel.executed", c.executed);
-  emit("kernel.cancelled", c.cancelled);
-  emit("kernel.skipped_dead", c.skipped_dead);
-  emit("kernel.peak_queue_depth", c.peak_queue_depth);
-  emit("kernel.queue_depth", c.queue_depth);
-  emit("kernel.wheel_scheduled", c.wheel_scheduled);
-  emit("kernel.wheel_flushed", c.wheel_flushed);
-  emit("kernel.pool_slots", c.pool_slots);
 }
 
 }  // namespace orte::sim

@@ -34,14 +34,11 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <string_view>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace orte::sim {
-
-class Trace;
 
 /// Handle used to cancel a scheduled event: {slot index, generation}. The
 /// generation is bumped whenever the slot is freed (fire or cancel), so a
@@ -130,9 +127,6 @@ class Kernel {
 
   /// Snapshot of the hot-path counters.
   [[nodiscard]] KernelCounters counters() const;
-
-  /// Emit every counter as a trace record (category "kernel.<counter>").
-  void trace_counters(Trace& trace, std::string_view subject = "kernel") const;
 
  private:
   /// 24-byte comparison-heap key. The action lives in the slot pool; the

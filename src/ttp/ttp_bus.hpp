@@ -7,7 +7,7 @@
 //    slot leaves the membership vector within one round,
 //  * local bus guardians: a babbling node's out-of-slot transmissions are
 //    blocked before they reach the medium (error containment, §4 req. 4),
-//  * fault injection: crash (fail-silent) and babbling-idiot faults.
+//  * fault injection: babbling-idiot faults.
 // With guardians disabled, babbling collides with — and corrupts — every
 // overlapping slot, which is exactly the contrast experiment E4 measures.
 #pragma once
@@ -37,8 +37,6 @@ class TtpNode : public net::Controller {
   /// message semantics: later sends overwrite earlier ones).
   void send(Frame frame) override;
 
-  /// Inject a fail-silent (crash) fault at absolute time t.
-  void crash_at(Time t);
   /// Inject a babbling-idiot fault over [from, until): the node attempts to
   /// transmit continuously, also outside its slot.
   void babble(Time from, Time until);
@@ -56,7 +54,6 @@ class TtpNode : public net::Controller {
   int index_;
   std::string name_;
   std::optional<Frame> buffer_;
-  Time crash_time_ = sim::kForever;
   Time babble_from_ = sim::kForever;
   Time babble_until_ = sim::kForever;
 };

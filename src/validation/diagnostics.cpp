@@ -16,10 +16,6 @@ std::string_view to_string(Severity severity) {
   return "unknown";
 }
 
-void Diagnostics::add(Diagnostic diagnostic) {
-  diags_.push_back(std::move(diagnostic));
-}
-
 void Diagnostics::add(std::string rule, Severity severity, std::string subject,
                       std::string message, std::string hint) {
   diags_.push_back(Diagnostic{std::move(rule), severity, std::move(subject),

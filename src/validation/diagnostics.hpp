@@ -35,7 +35,6 @@ struct Diagnostic {
 /// Ordered collection of diagnostics plus rendering / filtering helpers.
 class Diagnostics {
  public:
-  void add(Diagnostic diagnostic);
   void add(std::string rule, Severity severity, std::string subject,
            std::string message, std::string hint = {});
 

@@ -459,7 +459,7 @@ void check_chain_deadlines(const ChainAnalysis& chains, Diagnostics& out) {
 }
 
 void check_monitor_coverage(const vfb::Lowering& lowering,
-                            const vfb::DeploymentPlan* plan,
+                            const vfb::DeploymentPlan& plan,
                             const ContractMap& contracts, Diagnostics& out) {
   const auto unresolved = [&lowering](const std::string& instance,
                                       const std::string& flow) {
@@ -525,7 +525,7 @@ void check_monitor_coverage(const vfb::Lowering& lowering,
       }
     }
   }
-  if (plan == nullptr || plan->runtime_verification) return;
+  if (plan.runtime_verification) return;
   if (obligations > 0) {
     out.add("V10", Severity::kWarning, "deployment",
             "runtime verification is disabled but " +
@@ -535,16 +535,16 @@ void check_monitor_coverage(const vfb::Lowering& lowering,
             "set plan.runtime_verification = true or drop the contracts");
   }
   // Plan fields only the monitor registry acts on.
-  if (plan->alive_supervision) {
+  if (plan.alive_supervision) {
     out.add("V10", Severity::kWarning, "deployment",
             "alive supervision is enabled but runtime verification is "
             "disabled: watchdog expiries reach no monitor registry",
             "set plan.runtime_verification = true or drop "
             "plan.alive_supervision");
   }
-  if (!plan->recovery_mode.empty()) {
+  if (!plan.recovery_mode.empty()) {
     out.add("V10", Severity::kWarning, "deployment",
-            "recovery mode \"" + plan->recovery_mode +
+            "recovery mode \"" + plan.recovery_mode +
                 "\" is set but runtime verification is disabled: only the "
                 "monitor registry requests it",
             "set plan.runtime_verification = true or clear "

@@ -127,10 +127,9 @@ void check_chain_deadlines(const ChainAnalysis& chains, Diagnostics& out);
 /// resolution (an obligation whose flow resolves to nothing gets no
 /// monitor). With runtime_verification off, also warn once each for
 /// obligations nothing watches and for the plan fields only the monitor
-/// registry acts on (alive_supervision, recovery_mode). `plan` may be null
-/// (the runtime_verification opt-out is then not checkable).
+/// registry acts on (alive_supervision, recovery_mode).
 void check_monitor_coverage(
-    const vfb::Lowering& lowering, const vfb::DeploymentPlan* plan,
+    const vfb::Lowering& lowering, const vfb::DeploymentPlan& plan,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts,
     Diagnostics& out);
 

@@ -45,33 +45,29 @@ std::string conn_subject(const Connector& c) {
 /// One whole-model validation run; collects into `out`.
 class Pass {
  public:
-  Pass(const Composition& model, const DeploymentPlan* plan)
+  Pass(const Composition& model, const DeploymentPlan& plan)
       : model_(model), plan_(plan), contracts_(model.bound_contracts()) {}
 
-  /// Every rule over `lowering` (the deployment as the generator lowers it;
-  /// without a plan, its plan-free part: flows and dataflow). `chains` is
-  /// its chain analysis, read by V9; null without a plan.
-  Diagnostics run(const vfb::Lowering& lowering, const ChainAnalysis* chains) {
+  /// Every rule over `lowering` (the deployment as the generator lowers it).
+  /// `chains` is its chain analysis, read by V9.
+  Diagnostics run(const vfb::Lowering& lowering, const ChainAnalysis& chains) {
     check_type_references();       // V1/V2/V5 (type level)
     check_connectors();            // V1/V2 (connector level)
     check_connectivity(lowering);  // V3
     check_call_graph();            // V1/V2/V3/V6 (server calls)
-    if (plan_ != nullptr) {
-      check_deployment(lowering);  // V1/V2/V5 (plan level)
-      check_races(lowering);       // V4
-    }
-    check_contracts(lowering);  // V7
-    // Whole-program passes (flow_analysis.cpp): transitive ranges and dead
-    // flows need only the model; deadline/budget cross-checks need the
-    // deployment too. V10 also judges a contract-free plan.
+    check_deployment(lowering);    // V1/V2/V5 (plan level)
+    check_races(lowering);         // V4
+    check_contracts(lowering);     // V7
+    // Whole-program passes (flow_analysis.cpp). V10 also judges a
+    // contract-free plan.
     if (!contracts_.empty()) {
       check_flow_ranges(lowering, contracts_, out_);  // V8/V12
     }
     check_monitor_coverage(lowering, plan_, contracts_, out_);  // V10
-    if (!contracts_.empty() && plan_ != nullptr) {
-      check_chain_deadlines(*chains, out_);                        // V9
-      check_resource_budgets(lowering, *plan_, contracts_, out_);  // V11
-      check_detectability(lowering, *plan_, contracts_, out_);     // V13-V15
+    if (!contracts_.empty()) {
+      check_chain_deadlines(chains, out_);                        // V9
+      check_resource_budgets(lowering, plan_, contracts_, out_);  // V11
+      check_detectability(lowering, plan_, contracts_, out_);     // V13-V15
     }
     return std::move(out_);
   }
@@ -462,8 +458,8 @@ class Pass {
   // can take.
   void check_deployment(const vfb::Lowering& lowering) {
     for (const auto& inst : model_.instances()) {
-      const auto it = plan_->instances.find(inst.name);
-      if (it == plan_->instances.end()) {
+      const auto it = plan_.instances.find(inst.name);
+      if (it == plan_.instances.end()) {
         out_.add("V1", Severity::kError, inst.name,
                  "no deployment for instance " + inst.name,
                  "plan.instances[\"" + inst.name + "\"] = {.ecu = ...}");
@@ -471,7 +467,7 @@ class Pass {
       }
       check_budget(inst.name, it->second);
     }
-    for (const auto& [name, dep] : plan_->instances) {
+    for (const auto& [name, dep] : plan_.instances) {
       if (model_.find_instance(name) == nullptr) {
         out_.add("V1", Severity::kWarning, name,
                  "deployment for unknown instance " + name);
@@ -484,9 +480,9 @@ class Pass {
       }
     }
     // vfb::System builds the plan's bus whether or not a signal crosses it.
-    const bool can = plan_->bus == vfb::BusKind::kCan;
+    const bool can = plan_.bus == vfb::BusKind::kCan;
     const std::int64_t bitrate =
-        can ? plan_->can.bitrate_bps : plan_->flexray.bitrate_bps;
+        can ? plan_.can.bitrate_bps : plan_.flexray.bitrate_bps;
     if (bitrate <= 0) {
       out_.add("V5", Severity::kError, "bus",
                "bus bitrate " + std::to_string(bitrate) +
@@ -494,10 +490,33 @@ class Pass {
                can ? "set plan.can.bitrate_bps"
                    : "set plan.flexray.bitrate_bps");
     }
-    if (!can && plan_->flexray.static_slots == 0) {
+    if (can) {
+      const double rate = plan_.can.error_rate;
+      if (!(rate >= 0.0 && rate < 1.0)) {  // negated so that NaN fails too
+        out_.add("V5", Severity::kError, "bus",
+                 "CAN error rate " + std::to_string(rate) +
+                     " is outside [0, 1)",
+                 "set plan.can.error_rate");
+      }
+      return;
+    }
+    const auto& fr = plan_.flexray;
+    if (fr.static_slots == 0) {
       out_.add("V5", Severity::kError, "bus",
                "a FlexRay cycle needs at least one static slot",
                "set plan.flexray.static_slots");
+    }
+    if (fr.minislot_len < 0) {
+      out_.add("V5", Severity::kError, "bus",
+               "FlexRay minislot length " + std::to_string(fr.minislot_len) +
+                   " ns is negative",
+               "set plan.flexray.minislot_len");
+    }
+    if (fr.network_idle < 0) {
+      out_.add("V5", Severity::kError, "bus",
+               "FlexRay network idle time " +
+                   std::to_string(fr.network_idle) + " ns is negative",
+               "set plan.flexray.network_idle");
     }
   }
 
@@ -696,16 +715,12 @@ class Pass {
   }
 
   const Composition& model_;
-  const DeploymentPlan* plan_;
+  const DeploymentPlan& plan_;
   const std::map<std::string, contracts::Contract, std::less<>>& contracts_;
   Diagnostics out_;
 };
 
 }  // namespace
-
-Diagnostics validate(const vfb::Composition& model) {
-  return Pass(model, nullptr).run(vfb::lower(model, {}), nullptr);
-}
 
 Diagnostics validate(const vfb::Composition& model,
                      const vfb::DeploymentPlan& plan) {
@@ -718,7 +733,7 @@ Diagnostics validate_lowering(const vfb::Composition& model,
                               const vfb::DeploymentPlan& plan,
                               const vfb::Lowering& lowering,
                               const ChainAnalysis& chains) {
-  return Pass(model, &plan).run(lowering, &chains);
+  return Pass(model, plan).run(lowering, chains);
 }
 
 }  // namespace orte::validation

@@ -1,5 +1,5 @@
 // Static model validator: whole-model analysis of a Composition, its bound
-// contracts and (optionally) a DeploymentPlan *before* any runtime object is
+// contracts and its DeploymentPlan *before* any runtime object is
 // constructed.
 //
 // The paper's reliability argument (§2–§3) rests on design-time checks: the
@@ -31,7 +31,10 @@
 //  V5 timing sanity        — zero-period timing triggers, wcet_bound >=
 //                            period, data-received triggers on provided
 //                            ports, budgets below a runnable's WCET, per-ECU
-//                            task-count limit.
+//                            task-count limit, bus values the runtime cannot
+//                            take (bitrate, static slots, negative FlexRay
+//                            minislot or idle time, CAN error rate outside
+//                            [0, 1)).
 //  V6 call cycles          — client-server call cycles over server_calls
 //                            (instance-level DFS; the cycle is printed).
 //  V7 contract mismatch    — a connector whose bound contracts fail the
@@ -47,13 +50,9 @@
 
 namespace orte::validation {
 
-/// Run every model-level rule (no deployment: V4, V9, V11 and V13–V15 and
-/// the plan-level parts of V1/V2/V5 stay silent); never throws on model
-/// defects.
-[[nodiscard]] Diagnostics validate(const vfb::Composition& model);
-
 /// Run every rule over `model` deployed under `plan`: lowers the model once
-/// and calls validate_lowering on that lowering.
+/// and calls validate_lowering on that lowering; never throws on model
+/// defects.
 [[nodiscard]] Diagnostics validate(const vfb::Composition& model,
                                    const vfb::DeploymentPlan& plan);
 

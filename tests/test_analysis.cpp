@@ -1,12 +1,11 @@
 // Unit tests: response-time analysis (tasks, CAN, FlexRay), end-to-end
-// composition, sensitivity, TT schedule synthesis.
+// composition, TT schedule synthesis.
 #include <gtest/gtest.h>
 
 #include "analysis/can_analysis.hpp"
 #include "analysis/e2e.hpp"
 #include "analysis/flexray_analysis.hpp"
 #include "analysis/rta.hpp"
-#include "analysis/sensitivity.hpp"
 #include "analysis/tt_schedule.hpp"
 #include "sim/time.hpp"
 
@@ -34,12 +33,6 @@ TEST(Rta, ClassicExampleExact) {
   EXPECT_EQ(response_time(set[0], set), milliseconds(1));
   EXPECT_EQ(response_time(set[1], set), milliseconds(3));
   EXPECT_EQ(response_time(set[2], set), milliseconds(7));
-}
-
-TEST(Rta, BlockingAddsDirectly) {
-  auto set = classic_set();
-  set[0].blocking = microseconds(500);
-  EXPECT_EQ(response_time(set[0], set), microseconds(1500));
 }
 
 TEST(Rta, JitterOfHigherPriorityIncreasesInterference) {
@@ -166,22 +159,6 @@ TEST(FlexRayAnalysis, StaticBoundsMatchStructure) {
   EXPECT_EQ(lat.write_to_delivery_jitter, cycle);
 }
 
-TEST(FlexRayAnalysis, DynamicFitsFirstCycle) {
-  EXPECT_EQ(flexray_dynamic_cycles(20, 10, 5), 1);
-  EXPECT_EQ(flexray_dynamic_cycles(20, 0, 20), 1);
-}
-
-TEST(FlexRayAnalysis, DynamicUnboundedWhenSaturated) {
-  EXPECT_EQ(flexray_dynamic_cycles(20, 20, 1), std::nullopt);
-  EXPECT_EQ(flexray_dynamic_cycles(20, 0, 21), std::nullopt);
-}
-
-TEST(FlexRayAnalysis, DynamicBacklogTakesExtraCycles) {
-  const auto cycles = flexray_dynamic_cycles(20, 15, 10);
-  ASSERT_TRUE(cycles.has_value());
-  EXPECT_GT(*cycles, 1);
-}
-
 // --- End-to-end composition --------------------------------------------------------------
 
 TEST(E2e, DirectChainSumsResponses) {
@@ -201,35 +178,6 @@ TEST(E2e, SampledStageAddsPeriod) {
   });
   EXPECT_EQ(r.worst, milliseconds(13));
   EXPECT_EQ(r.jitter, r.worst);  // best case is 0 in this model
-}
-
-// --- Sensitivity ------------------------------------------------------------------------
-
-TEST(Sensitivity, ScalingLimitBracketsSchedulability) {
-  const auto set = classic_set();  // U ~ 0.6875
-  const double limit = wcet_scaling_limit(set);
-  EXPECT_GT(limit, 1.0);
-  EXPECT_LT(limit, 2.0);
-  // Verify the bracket by probing.
-  auto probe = set;
-  for (auto& t : probe) {
-    t.wcet = static_cast<orte::sim::Duration>(
-        static_cast<double>(t.wcet) * (limit * 0.99));
-  }
-  EXPECT_TRUE(analyze(probe).schedulable);
-}
-
-TEST(Sensitivity, UnschedulableSetHasZeroLimit) {
-  std::vector<AnalysisTask> set{
-      {.name = "a", .wcet = milliseconds(11), .period = milliseconds(10),
-       .priority = 1}};
-  EXPECT_DOUBLE_EQ(wcet_scaling_limit(set), 0.0);
-}
-
-TEST(Sensitivity, SlackPositiveForSchedulable) {
-  const auto slack = task_slack(classic_set());
-  EXPECT_EQ(slack.at("t1"), milliseconds(3));
-  EXPECT_EQ(slack.at("t3"), milliseconds(9));
 }
 
 // --- TT schedule synthesis -----------------------------------------------------------------

@@ -1,11 +1,10 @@
 // Unit tests: basic software — COM packing/transmission, mode management,
-// DEM, NvM, watchdog alive supervision.
+// DEM, watchdog alive supervision.
 #include <gtest/gtest.h>
 
 #include "bsw/com.hpp"
 #include "bsw/dem.hpp"
 #include "bsw/mode.hpp"
-#include "bsw/nvm.hpp"
 #include "bsw/watchdog.hpp"
 #include "can/can_bus.hpp"
 #include "sim/kernel.hpp"
@@ -90,8 +89,7 @@ TEST(Com, DirectTransmissionOnTriggeredSignal) {
   f.kernel.run_until(milliseconds(5));
   ASSERT_EQ(seen.size(), 1u);
   EXPECT_EQ(seen[0], 88u);
-  EXPECT_EQ(f.rx.read_signal("speed"), std::uint64_t{88});
-  EXPECT_TRUE(f.rx.signal_age("speed").has_value());
+  EXPECT_EQ(f.rx.pdus_received(), 1u);
 }
 
 TEST(Com, PeriodicTransmissionWithoutWrites) {
@@ -120,13 +118,15 @@ TEST(Com, NonTriggeredSignalWaitsForPeriodic) {
                    f.rx_ctrl);
   f.rx.add_signal(
       {.name = "s", .ipdu = "pdu", .bit_offset = 0, .bit_length = 8});
+  std::vector<std::uint64_t> seen;
+  f.rx.on_signal("s", [&](std::uint64_t v) { seen.push_back(v); });
   f.tx.start();
   f.rx.start();
   f.kernel.schedule_at(microseconds(100), [&] { f.tx.send_signal("s", 7); });
   f.kernel.run_until(milliseconds(4));
-  EXPECT_EQ(f.rx.read_signal("s"), std::nullopt);  // not yet transmitted
+  EXPECT_TRUE(seen.empty());  // not yet transmitted
   f.kernel.run_until(milliseconds(6));
-  EXPECT_EQ(f.rx.read_signal("s"), std::uint64_t{7});
+  EXPECT_EQ(seen, std::vector<std::uint64_t>{7});
 }
 
 TEST(Com, RxTimeoutFiresWithoutTraffic) {
@@ -261,10 +261,10 @@ TEST(Dem, DebounceBeforeLatch) {
   dem.add_event({.name = "sensor_open", .debounce_threshold = 3});
   dem.report("sensor_open", EventStatus::kFailed);
   dem.report("sensor_open", EventStatus::kFailed);
-  EXPECT_FALSE(dem.is_failed("sensor_open"));
+  EXPECT_FALSE(dem.dtc("sensor_open").has_value());
   dem.report("sensor_open", EventStatus::kFailed);
-  EXPECT_TRUE(dem.is_failed("sensor_open"));
   ASSERT_TRUE(dem.dtc("sensor_open").has_value());
+  EXPECT_TRUE(dem.dtc("sensor_open")->confirmed);
   EXPECT_EQ(dem.dtc("sensor_open")->occurrence_count, 1u);
 }
 
@@ -274,10 +274,10 @@ TEST(Dem, PassedReportsHeal) {
   dem.add_event({.name = "e", .debounce_threshold = 2});
   dem.report("e", EventStatus::kFailed);
   dem.report("e", EventStatus::kFailed);
-  EXPECT_TRUE(dem.is_failed("e"));
+  ASSERT_TRUE(dem.dtc("e").has_value());
+  EXPECT_TRUE(dem.dtc("e")->confirmed);
   dem.report("e", EventStatus::kPassed);
   dem.report("e", EventStatus::kPassed);
-  EXPECT_FALSE(dem.is_failed("e"));
   // Healed but the DTC is still stored (unconfirmed).
   ASSERT_TRUE(dem.dtc("e").has_value());
   EXPECT_FALSE(dem.dtc("e")->confirmed);
@@ -353,78 +353,6 @@ TEST(Dem, CallbackOnStore) {
   EXPECT_EQ(stored, 1);
 }
 
-// --- NvM -------------------------------------------------------------------------
-
-TEST(Nvm, WriteReadRoundTrip) {
-  Fixture f;
-  NvM nvm(f.trace);
-  nvm.add_block({.name = "cal", .length = 4});
-  nvm.write("cal", {1, 2, 3, 4});
-  EXPECT_EQ(nvm.read("cal"), (std::vector<std::uint8_t>{1, 2, 3, 4}));
-}
-
-TEST(Nvm, CorruptionDetectedOnSingleCopy) {
-  Fixture f;
-  NvM nvm(f.trace);
-  nvm.add_block({.name = "cal", .length = 4});
-  nvm.write("cal", {1, 2, 3, 4});
-  nvm.corrupt("cal", 2);
-  EXPECT_EQ(nvm.read("cal"), std::nullopt);
-  EXPECT_EQ(nvm.fatal_failures(), 1u);
-}
-
-TEST(Nvm, RedundantCopyRecovers) {
-  Fixture f;
-  NvM nvm(f.trace);
-  nvm.add_block({.name = "cal", .length = 4, .redundant = true});
-  nvm.write("cal", {9, 8, 7, 6});
-  nvm.corrupt("cal", 1, 0);
-  EXPECT_EQ(nvm.read("cal"), (std::vector<std::uint8_t>{9, 8, 7, 6}));
-  EXPECT_EQ(nvm.recoveries(), 1u);
-  // The repaired copy is valid again.
-  EXPECT_EQ(nvm.read("cal"), (std::vector<std::uint8_t>{9, 8, 7, 6}));
-  EXPECT_EQ(nvm.recoveries(), 1u);
-}
-
-TEST(Nvm, BothCopiesCorruptIsFatal) {
-  Fixture f;
-  NvM nvm(f.trace);
-  nvm.add_block({.name = "cal", .length = 4, .redundant = true});
-  nvm.write("cal", {1, 1, 1, 1});
-  nvm.corrupt("cal", 0, 0);
-  nvm.corrupt("cal", 0, 1);
-  std::string failed;
-  bool was_fatal = false;
-  nvm.on_failure([&](const std::string& b, bool fatal) {
-    failed = b;
-    was_fatal = fatal;
-  });
-  EXPECT_EQ(nvm.read("cal"), std::nullopt);
-  EXPECT_EQ(failed, "cal");
-  EXPECT_TRUE(was_fatal);
-}
-
-TEST(Nvm, UnwrittenBlockReadsAsFatal) {
-  Fixture f;
-  NvM nvm(f.trace);
-  nvm.add_block({.name = "cal", .length = 4});
-  EXPECT_EQ(nvm.read("cal"), std::nullopt);
-}
-
-TEST(Nvm, Crc16KnownVector) {
-  // CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
-  std::vector<std::uint8_t> data{'1', '2', '3', '4', '5', '6', '7', '8', '9'};
-  EXPECT_EQ(crc16(data), 0x29B1);
-}
-
-TEST(Nvm, SizeMismatchThrows) {
-  Fixture f;
-  NvM nvm(f.trace);
-  nvm.add_block({.name = "cal", .length = 4});
-  EXPECT_THROW(nvm.write("cal", {1, 2}), std::invalid_argument);
-  EXPECT_THROW(nvm.corrupt("cal", 9), std::invalid_argument);
-}
-
 // --- Watchdog ----------------------------------------------------------------------
 
 TEST(Watchdog, HealthyEntityPasses) {
@@ -435,7 +363,7 @@ TEST(Watchdog, HealthyEntityPasses) {
   wdg.start();
   f.kernel.run_until(milliseconds(100));
   EXPECT_EQ(wdg.violations(), 0u);
-  EXPECT_FALSE(wdg.is_expired("ctrl"));
+  EXPECT_EQ(f.trace.count("wdg.violation", "ctrl"), 0u);
 }
 
 TEST(Watchdog, SilentEntityTrips) {
@@ -448,7 +376,7 @@ TEST(Watchdog, SilentEntityTrips) {
   f.kernel.run_until(milliseconds(25));
   EXPECT_EQ(wdg.violations(), 1u);
   EXPECT_EQ(tripped, "ctrl");
-  EXPECT_TRUE(wdg.is_expired("ctrl"));
+  EXPECT_EQ(f.trace.count("wdg.violation", "ctrl"), 1u);
 }
 
 TEST(Watchdog, ToleranceDelaysTrip) {

@@ -1,6 +1,7 @@
 // Unit tests: CAN bus — arbitration, non-preemption, frame timing, faults.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "can/can_bus.hpp"
@@ -136,12 +137,21 @@ TEST(CanBus, FifoAmongEqualIdsFromOneNode) {
   EXPECT_EQ(names, (std::vector<std::string>{"first", "second"}));
 }
 
-TEST(CanBus, NonPositiveBitrateRejected) {
+TEST(CanBus, InvalidConfigRejected) {
   Fixture f;
   EXPECT_THROW(CanBus(f.kernel, f.trace, {.bitrate_bps = 0}),
                std::invalid_argument);
   EXPECT_THROW(CanBus(f.kernel, f.trace, {.bitrate_bps = -1}),
                std::invalid_argument);
+  // The error rate is a probability of corruption below certainty: at 1.0
+  // no frame ever gets through.
+  for (const double rate : {1.0, 1.5, -0.5, std::nan("")}) {
+    EXPECT_THROW(CanBus(f.kernel, f.trace, {.error_rate = rate}),
+                 std::invalid_argument)
+        << rate;
+  }
+  EXPECT_NO_THROW(CanBus(f.kernel, f.trace, {.error_rate = 0.0}));
+  EXPECT_NO_THROW(CanBus(f.kernel, f.trace, {.error_rate = 0.99}));
 }
 
 TEST(CanBus, OversizedPayloadRejected) {

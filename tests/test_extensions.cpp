@@ -1,12 +1,10 @@
-// Tests for the extension subsystems: E2E protection, clock synchronization,
-// holistic distributed analysis, PDU-router gateway, dual-channel FlexRay.
+// Tests for the extension subsystems: clock synchronization, holistic
+// distributed analysis, PDU-router gateway.
 #include <gtest/gtest.h>
 
 #include "analysis/holistic.hpp"
-#include "bsw/e2e_protection.hpp"
 #include "bsw/pdu_router.hpp"
 #include "can/can_bus.hpp"
-#include "flexray/dual_channel.hpp"
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"
 #include "ttp/clock_sync.hpp"
@@ -18,62 +16,6 @@ using sim::Kernel;
 using sim::Trace;
 using sim::microseconds;
 using sim::milliseconds;
-
-// --- E2E protection -----------------------------------------------------------
-
-TEST(E2eProtection, RoundTripOk) {
-  bsw::E2eProtector tx({.data_id = 0x123});
-  bsw::E2eChecker rx({.data_id = 0x123});
-  for (int i = 0; i < 40; ++i) {  // multiple counter wraps
-    const auto frame = tx.protect({1, 2, 3, static_cast<std::uint8_t>(i)});
-    const auto r = rx.check(frame);
-    ASSERT_EQ(r.status, bsw::E2eStatus::kOk) << "i=" << i;
-    EXPECT_EQ(r.payload[3], static_cast<std::uint8_t>(i));
-  }
-  EXPECT_EQ(rx.ok_count(), 40u);
-  EXPECT_EQ(rx.error_count(), 0u);
-}
-
-TEST(E2eProtection, CorruptionDetected) {
-  bsw::E2eProtector tx({.data_id = 1});
-  bsw::E2eChecker rx({.data_id = 1});
-  auto frame = tx.protect({10, 20});
-  frame[3] ^= 0x01;  // flip a payload bit
-  EXPECT_EQ(rx.check(frame).status, bsw::E2eStatus::kWrongCrc);
-}
-
-TEST(E2eProtection, MasqueradingDetected) {
-  bsw::E2eProtector wrong_sender({.data_id = 7});
-  bsw::E2eChecker rx({.data_id = 8});
-  EXPECT_EQ(rx.check(wrong_sender.protect({1})).status,
-            bsw::E2eStatus::kWrongCrc);
-}
-
-TEST(E2eProtection, RepetitionDetected) {
-  bsw::E2eProtector tx({.data_id = 1});
-  bsw::E2eChecker rx({.data_id = 1});
-  const auto frame = tx.protect({1});
-  EXPECT_EQ(rx.check(frame).status, bsw::E2eStatus::kOk);
-  EXPECT_EQ(rx.check(frame).status, bsw::E2eStatus::kRepeated);
-}
-
-TEST(E2eProtection, TolerableLossVsSequenceBreak) {
-  bsw::E2eProtector tx({.data_id = 1});
-  bsw::E2eChecker rx({.data_id = 1, .max_delta = 2});
-  EXPECT_EQ(rx.check(tx.protect({1})).status, bsw::E2eStatus::kOk);
-  (void)tx.protect({2});  // lost on the wire
-  EXPECT_EQ(rx.check(tx.protect({3})).status, bsw::E2eStatus::kOkSomeLost);
-  (void)tx.protect({4});
-  (void)tx.protect({5});
-  (void)tx.protect({6});
-  EXPECT_EQ(rx.check(tx.protect({7})).status,
-            bsw::E2eStatus::kWrongSequence);
-}
-
-TEST(E2eProtection, TruncatedFrameRejected) {
-  bsw::E2eChecker rx({.data_id = 1});
-  EXPECT_EQ(rx.check({0x01}).status, bsw::E2eStatus::kWrongCrc);
-}
 
 // --- Clock synchronization --------------------------------------------------------
 
@@ -276,66 +218,6 @@ TEST(PduRouter, NonMatchingIdsIgnored) {
   kernel.run_until(milliseconds(10));
   EXPECT_EQ(rx, 0);
   EXPECT_EQ(router.frames_forwarded(), 0u);
-}
-
-// --- Dual-channel FlexRay ------------------------------------------------------------------
-
-flexray::FlexRayConfig dual_cfg() {
-  flexray::FlexRayConfig cfg;
-  cfg.static_slots = 4;
-  cfg.static_payload_bytes = 8;
-  cfg.minislots = 10;
-  cfg.minislot_len = microseconds(2);
-  cfg.network_idle = microseconds(10);
-  return cfg;
-}
-
-TEST(DualChannel, DeduplicatesHealthyChannels) {
-  Kernel kernel;
-  Trace trace;
-  flexray::DualChannelFlexRay bus(kernel, trace, dual_cfg());
-  auto& tx = bus.attach();
-  auto& rx = bus.attach();
-  bus.assign_static_slot(1, tx);
-  int rx_count = 0;
-  rx.on_receive([&](const net::Frame&) { ++rx_count; });
-  const auto cycle = bus.channel(0).cycle_len();
-  kernel.schedule_periodic(0, cycle, [&] {
-    net::Frame f;
-    f.id = 1;
-    f.payload.assign(8, 0x11);
-    tx.send(std::move(f));
-  });
-  bus.start();
-  kernel.run_until(10 * cycle);
-  EXPECT_EQ(rx_count, 9);  // one logical delivery per cycle (cycle-1 offset)
-  EXPECT_EQ(bus.redundant_receptions(), static_cast<std::uint64_t>(rx_count));
-}
-
-TEST(DualChannel, SurvivesSingleChannelFailure) {
-  Kernel kernel;
-  Trace trace;
-  flexray::DualChannelFlexRay bus(kernel, trace, dual_cfg());
-  auto& tx = bus.attach();
-  auto& rx = bus.attach();
-  bus.assign_static_slot(1, tx);
-  int rx_count = 0;
-  rx.on_receive([&](const net::Frame&) { ++rx_count; });
-  const auto cycle = bus.channel(0).cycle_len();
-  kernel.schedule_periodic(0, cycle, [&] {
-    net::Frame f;
-    f.id = 1;
-    f.payload.assign(8, 0x22);
-    tx.send(std::move(f));
-  });
-  // Channel A dark for the middle third of the run.
-  bus.fail_channel(0, 3 * cycle, 6 * cycle);
-  bus.start();
-  kernel.run_until(10 * cycle);
-  EXPECT_EQ(rx_count, 9);  // no logical frame lost
-  EXPECT_GT(bus.channel(0).stats().frames_dropped(), 0u);
-  EXPECT_LT(bus.redundant_receptions(),
-            static_cast<std::uint64_t>(rx_count));  // B-only in the window
 }
 
 }  // namespace

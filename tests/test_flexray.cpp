@@ -198,6 +198,14 @@ TEST(FlexRay, InvalidConfigRejected) {
   no_slots.static_slots = 0;
   EXPECT_THROW(FlexRayBus(f.kernel, f.trace, no_slots),
                std::invalid_argument);
+  FlexRayConfig negative_minislot = small_config();
+  negative_minislot.minislot_len = -microseconds(1);
+  EXPECT_THROW(FlexRayBus(f.kernel, f.trace, negative_minislot),
+               std::invalid_argument);
+  FlexRayConfig negative_idle = small_config();
+  negative_idle.network_idle = -milliseconds(1);
+  EXPECT_THROW(FlexRayBus(f.kernel, f.trace, negative_idle),
+               std::invalid_argument);
 }
 
 TEST(FlexRay, OversizedStaticPayloadRejected) {

@@ -301,25 +301,23 @@ TEST(GoldenDigest, BrakeByWireFrameCorrupt) {
 // --- Bare OS scheduler --------------------------------------------------------
 
 /// One ECU exercising every scheduling rule at once: a budgeted partition
-/// that exhausts and replenishes, an immediate-ceiling resource shared
-/// across priorities, equal-priority periodic and event tasks (the
-/// incumbent and registration-order tie rules, also between a job raised
-/// to a ceiling and a task at that base priority), queued event
-/// activations and a deadline miss.
+/// that exhausts and replenishes, preemption across priorities,
+/// equal-priority periodic and event tasks (the incumbent and
+/// registration-order tie rules), queued event activations and a deadline
+/// miss.
 TEST(GoldenDigest, BareEcuPartitionCeilingEqualPriorities) {
   sim::Kernel kernel;
   sim::Trace trace;
   os::Ecu ecu(kernel, trace, "ecu0");
   const int part = ecu.add_partition(
       {.name = "p0", .budget = milliseconds(3), .period = milliseconds(10)});
-  const int res = ecu.add_resource("shared");
 
   os::Task& event_b = ecu.add_task(
       {.name = "event_b", .priority = 2, .max_pending_activations = 2});
   event_b.set_body(microseconds(700));
   os::Task& a = ecu.add_task({.name = "a", .priority = 2,
                               .period = milliseconds(10), .partition = part});
-  a.add_segment({.duration = [] { return milliseconds(1); }, .resource = res});
+  a.add_segment({.duration = [] { return milliseconds(1); }});
   a.add_segment({.duration = [] { return milliseconds(3); }});
   os::Task& b = ecu.add_task({.name = "b", .priority = 2,
                               .period = milliseconds(10),
@@ -331,8 +329,7 @@ TEST(GoldenDigest, BareEcuPartitionCeilingEqualPriorities) {
   os::Task& hi = ecu.add_task({.name = "hi", .priority = 3,
                                .period = milliseconds(20),
                                .offset = microseconds(400)});
-  hi.add_segment({.duration = [] { return microseconds(800); },
-                  .resource = res});
+  hi.add_segment({.duration = [] { return microseconds(800); }});
   os::Task& lo = ecu.add_task({.name = "lo", .priority = 1,
                                .period = milliseconds(5),
                                .relative_deadline = milliseconds(4)});
@@ -342,9 +339,8 @@ TEST(GoldenDigest, BareEcuPartitionCeilingEqualPriorities) {
                     ecu.activate(event_a);
                     ecu.activate(event_a);
                   }});
-  // Preempts `a` inside its ceiling segment while `hi` is released, so `a`
-  // (raised to the ceiling) and `hi` then tie at priority 3 with neither
-  // running: the lower registration index must win.
+  // Preempts `a` while `hi` is released, so its completion hands the CPU
+  // to the released higher-priority job, not back to the preempted one.
   os::Task& top = ecu.add_task({.name = "top", .priority = 4,
                                 .period = milliseconds(20),
                                 .offset = microseconds(200)});
@@ -354,7 +350,7 @@ TEST(GoldenDigest, BareEcuPartitionCeilingEqualPriorities) {
 
   EXPECT_GT(ecu.partition_throttles(part), 0u);
   EXPECT_GT(lo.deadline_misses(), 0u);
-  expect_digest(digest_of(trace), 0x9050358352e7638full, 775);
+  expect_digest(digest_of(trace), 0xcc0e9bb6a13823fcull, 775);
 }
 
 // --- Static outputs: validator, SARIF, System::analyze(), detectability ----

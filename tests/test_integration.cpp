@@ -177,9 +177,9 @@ TEST(Integration, ComTimeoutFeedsDemAndModeManagement) {
   });
   com.start();
   kernel.run_until(milliseconds(200));
-  EXPECT_TRUE(dem.is_failed("comm_loss"));
   EXPECT_TRUE(mode.in("LIMP_HOME"));
   ASSERT_TRUE(dem.dtc("comm_loss").has_value());
+  EXPECT_TRUE(dem.dtc("comm_loss")->confirmed);
 }
 
 TEST(Integration, BudgetKillTripsAliveSupervision) {

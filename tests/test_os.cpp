@@ -1,5 +1,5 @@
-// Unit tests: ECU kernel — fixed-priority preemptive scheduling, priority
-// ceilings, schedule tables, execution budgets and partitions.
+// Unit tests: ECU kernel — fixed-priority preemptive scheduling, schedule
+// tables, execution budgets and partitions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -197,35 +197,6 @@ TEST(Ecu, PartitionBudgetReplenishes) {
   f.kernel.run_until(milliseconds(100));
   EXPECT_EQ(t.jobs_completed(), 10u);
   EXPECT_EQ(f.ecu.partition_throttles(part), 0u);
-}
-
-TEST(Ecu, PriorityCeilingPreventsPriorityInversion) {
-  Fixture f;
-  const int res = f.ecu.add_resource("shared");
-  // Low-priority task holds the resource for 4ms starting at t=0.
-  Task& lo = f.ecu.add_task({.name = "lo", .priority = 1,
-                             .period = milliseconds(100)});
-  lo.add_segment({.duration = [] { return milliseconds(4); },
-                  .resource = res});
-  lo.add_segment({.duration = [] { return milliseconds(4); }});
-  // Medium task would normally preempt lo's critical section...
-  Task& mid = f.ecu.add_task({.name = "mid", .priority = 2,
-                              .period = milliseconds(100),
-                              .offset = milliseconds(1)});
-  mid.set_body(milliseconds(10));
-  // ...starving hi, which also uses the resource.
-  Task& hi = f.ecu.add_task({.name = "hi", .priority = 3,
-                             .period = milliseconds(100),
-                             .offset = milliseconds(2)});
-  hi.add_segment({.duration = [] { return milliseconds(2); },
-                  .resource = res});
-  f.ecu.start();
-  f.kernel.run_until(milliseconds(100));
-  // With the immediate ceiling protocol, lo runs its critical section at
-  // ceiling priority (3): mid cannot interleave, so hi is blocked at most
-  // lo's critical section (4ms - release offset 2ms = 2ms) + its own 2ms.
-  EXPECT_DOUBLE_EQ(hi.response_times().max(), 4.0);
-  // Without PCP, mid's 10ms would sit between lo's unlock and hi: R_hi > 10.
 }
 
 TEST(Ecu, ScheduleTableDispatchesAtOffsets) {

@@ -189,7 +189,7 @@ TEST(AutomatonMonitor, LateResponseViolatesAndSelfHeals) {
 
 // --- HealthReport -------------------------------------------------------------
 
-TEST(HealthReport, QueriesAndRender) {
+TEST(HealthReport, Queries) {
   rv::HealthReport hr;
   hr.record({.contract = "A", .subject = "s1", .kind = "period"});
   hr.record({.contract = "A", .subject = "s2", .kind = "latency"});
@@ -201,9 +201,6 @@ TEST(HealthReport, QueriesAndRender) {
   EXPECT_EQ(hr.stats("C"), nullptr);
   ASSERT_EQ(hr.violations().size(), 3u);
   EXPECT_EQ(hr.violations()[1].kind, "latency");
-  const std::string text = hr.render();
-  EXPECT_NE(text.find("A"), std::string::npos);
-  EXPECT_NE(text.find("period"), std::string::npos);
 }
 
 TEST(HealthReport, RetentionCapEvictsLogButKeepsCountersExact) {
@@ -225,9 +222,6 @@ TEST(HealthReport, RetentionCapEvictsLogButKeepsCountersExact) {
   ASSERT_NE(hr.stats("B"), nullptr);
   EXPECT_EQ(hr.stats("A")->violating, 2050u);
   EXPECT_EQ(hr.stats("B")->violating, 2049u);
-  EXPECT_NE(hr.render().find("showing last " +
-                             std::to_string(rv::HealthReport::kRetention)),
-            std::string::npos);
 }
 
 TEST(HealthReport, ViolationBudgetFollowsConfidence) {
@@ -277,7 +271,7 @@ TEST(MonitorRegistry, ViolationsMatureDtcInDem) {
   trace.emit(sim::milliseconds(16), "rte.write", "s");  // 2nd: latches
   ASSERT_TRUE(dem.dtc("rv.C_Pedal").has_value());
   EXPECT_EQ(dem.dtc("rv.C_Pedal")->code, rv::contract_dtc_code("C_Pedal"));
-  EXPECT_TRUE(dem.is_failed("rv.C_Pedal"));
+  EXPECT_TRUE(dem.dtc("rv.C_Pedal")->confirmed);
 }
 
 TEST(MonitorRegistry, EscalatesToDegradedModeAndQuarantines) {

@@ -152,17 +152,6 @@ TEST(Kernel, PeriodicCancelMidSeriesPurgesPendingOccurrence) {
   EXPECT_EQ(k.counters().queue_depth, 0u);
 }
 
-TEST(Kernel, TraceCountersEmitsEveryCounter) {
-  Kernel k;
-  Trace trace;
-  k.schedule_at(100, [] {});
-  k.run_until(1000);
-  k.trace_counters(trace, "k0");
-  EXPECT_EQ(trace.count("kernel.pushed", "k0"), 1u);
-  EXPECT_EQ(trace.count("kernel.executed", "k0"), 1u);
-  EXPECT_EQ(trace.count("kernel.peak_queue_depth", "k0"), 1u);
-}
-
 TEST(Kernel, EventsScheduledDuringEventRun) {
   Kernel k;
   int fired = 0;

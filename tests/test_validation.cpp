@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@ using orte::contracts::FlowSpec;
 using orte::contracts::Interval;
 using orte::sim::Kernel;
 using orte::sim::Trace;
+using orte::sim::microseconds;
 using orte::sim::milliseconds;
 using orte::validation::Diagnostics;
 using orte::validation::Severity;
@@ -87,6 +89,16 @@ DeploymentPlan same_ecu_plan() {
   return plan;
 }
 
+/// Each instance on its own ECU: a plan for tests that judge the model
+/// rather than its deployment.
+DeploymentPlan deploy_all(const Composition& c) {
+  DeploymentPlan plan;
+  for (const auto& inst : c.instances()) {
+    plan.instances[inst.name] = {.ecu = inst.name};
+  }
+  return plan;
+}
+
 bool has_rule(const Diagnostics& d, std::string_view rule) {
   return !d.by_rule(rule).empty();
 }
@@ -132,7 +144,7 @@ TEST(ValidatorV1, DanglingNamesAreCollectedNotThrown) {
   c.add_instance({"a", "T"});
   c.add_instance({"b", "Ghost"});
   c.add_connector({"a", "out", "zombie", "in"});
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   ASSERT_TRUE(has_rule(d, "V1"));
   EXPECT_GE(d.by_rule("V1").size(), 3u);  // interface, type, connector end
   EXPECT_NE(d.render().find("unknown interface INope"), std::string::npos);
@@ -168,7 +180,7 @@ TEST(ValidatorV2, InterfaceMismatchNamesTheElementDelta) {
   c.add_instance({"a", "A"});
   c.add_instance({"b", "B"});
   c.add_connector({"a", "out", "b", "in"});
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   ASSERT_TRUE(has_rule(d, "V2"));
   EXPECT_NE(d.render().find("element-set disagreement: -extra"),
             std::string::npos);
@@ -190,7 +202,7 @@ TEST(ValidatorV2, AllViolationsReportedInOnePass) {
   c.add_instance({"a1", "A"});
   c.add_instance({"a2", "A"});
   c.add_connector({"a1", "in", "a2", "out"});  // both ends reversed
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   EXPECT_GE(d.by_rule("V2").size(), 4u);
   EXPECT_EQ(d.count(Severity::kError), d.by_rule("V2").size());
 }
@@ -256,7 +268,7 @@ TEST(ValidatorV3, ReadButUnconnectedRequiredPortWarns) {
   c.add_type({"Consumer", {Port{"in", "IVal", PortDirection::kRequired}},
               {consume}});
   c.add_instance({"k", "Consumer"});
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   EXPECT_FALSE(d.has_errors());
   const auto v3 = d.by_rule("V3");
   ASSERT_FALSE(v3.empty());
@@ -277,12 +289,12 @@ TEST(ValidatorV3, DeadElementsReportedAsInfo) {
   dead.add_instance({"p", "Producer"});
   dead.add_instance({"k", "Consumer"});
   dead.add_connector({"p", "out", "k", "in"});
-  const Diagnostics d = orte::validation::validate(dead);
+  const Diagnostics d = orte::validation::validate(dead, deploy_all(dead));
   EXPECT_FALSE(d.has_errors());
   EXPECT_GE(d.by_rule("V3").size(), 2u);  // never written + never read
   EXPECT_EQ(d.count(Severity::kInfo), d.size());
   // The live pipeline has no V3 findings at all.
-  EXPECT_FALSE(has_rule(orte::validation::validate(c), "V3"));
+  EXPECT_FALSE(has_rule(orte::validation::validate(c, deploy_all(c)), "V3"));
 }
 
 TEST(ValidatorV3, ServerCallOnUnconnectedPortIsAnError) {
@@ -293,7 +305,7 @@ TEST(ValidatorV3, ServerCallOnUnconnectedPortIsAnError) {
   c.add_type({"Client", {Port{"req", "ICalc", PortDirection::kRequired}},
               {r}});
   c.add_instance({"cl", "Client"});
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   ASSERT_TRUE(d.has_errors());
   EXPECT_NE(d.render().find("server call on unconnected port cl.req"),
             std::string::npos);
@@ -407,7 +419,7 @@ TEST(ValidatorV5, ZeroPeriodAndWcetOverrunAndBadTrigger) {
                Port{"in", "IVal", PortDirection::kRequired}},
               {no_period, overrun, on_out}});
   c.add_instance({"t", "T"});
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   const auto v5 = d.by_rule("V5");
   ASSERT_EQ(v5.size(), 3u);
   EXPECT_NE(d.render().find("timing runnable no_period has no period"),
@@ -448,7 +460,7 @@ TEST(ValidatorV5, PlanValuesTheRuntimeCannotTakeAreErrors) {
   DeploymentPlan cross_ecu;
   cross_ecu.instances["p"] = {.ecu = "a"};
   cross_ecu.instances["k"] = {.ecu = "b"};
-  std::vector<DeploymentPlan> plans(5, cross_ecu);
+  std::vector<DeploymentPlan> plans(11, cross_ecu);
   plans[0].can.bitrate_bps = 0;
   plans[1].bus = BusKind::kFlexRay;
   plans[1].flexray.bitrate_bps = 0;
@@ -458,6 +470,15 @@ TEST(ValidatorV5, PlanValuesTheRuntimeCannotTakeAreErrors) {
   plans[3].bus = BusKind::kFlexRay;
   plans[3].flexray.static_slots = 0;
   plans[4].instances["p"].budget = -5;
+  plans[5].bus = BusKind::kFlexRay;
+  plans[5].flexray.network_idle = -milliseconds(1);
+  plans[6].bus = BusKind::kFlexRay;
+  plans[6].flexray.minislot_len = -microseconds(100);
+  plans[7].bus = BusKind::kFlexRay;  // runs, with a shortened cycle
+  plans[7].flexray.minislot_len = -microseconds(1);
+  plans[8].can.error_rate = 1.0;  // every frame is corrupted
+  plans[9].can.error_rate = -0.5;
+  plans[10].can.error_rate = std::nan("");
   for (std::size_t i = 0; i < plans.size(); ++i) {
     const Diagnostics d = orte::validation::validate(c, plans[i]);
     const auto v5 = d.by_rule("V5");
@@ -493,7 +514,7 @@ TEST(ValidatorV6, CallCycleIsDetectedAndPrinted) {
   c.add_instance({"b", "Node"});
   c.add_connector({"a", "srv", "b", "req"});  // b calls a
   c.add_connector({"b", "srv", "a", "req"});  // a calls b
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   const auto v6 = d.by_rule("V6");
   ASSERT_FALSE(v6.empty());
   EXPECT_EQ(v6.front()->severity, Severity::kError);
@@ -514,7 +535,7 @@ TEST(ValidatorV6, AcyclicCallChainPasses) {
   c.add_instance({"cl", "Client"});
   c.add_instance({"s", "Server"});
   c.add_connector({"s", "srv", "cl", "req"});
-  EXPECT_FALSE(has_rule(orte::validation::validate(c), "V6"));
+  EXPECT_FALSE(has_rule(orte::validation::validate(c, deploy_all(c)), "V6"));
 }
 
 // --- V7: contract compatibility -------------------------------------------------
@@ -530,7 +551,7 @@ TEST(ValidatorV7, IncompatibleContractsFlagged) {
       FlowSpec{.flow = "in.val", .range = Interval{0, 50}});
   c.bind_contract("p", producer);
   c.bind_contract("k", consumer);
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   const auto v7 = d.by_rule("V7");
   ASSERT_FALSE(v7.empty());
   EXPECT_EQ(v7.front()->severity, Severity::kError);
@@ -541,7 +562,7 @@ TEST(ValidatorV7, IncompatibleContractsFlagged) {
   tolerant.assumptions.push_back(
       FlowSpec{.flow = "in.val", .range = Interval{-1000, 1000}});
   c.bind_contract("k", tolerant);
-  EXPECT_FALSE(has_rule(orte::validation::validate(c), "V7"));
+  EXPECT_FALSE(has_rule(orte::validation::validate(c, deploy_all(c)), "V7"));
 }
 
 // --- Strict mode ----------------------------------------------------------------
@@ -627,7 +648,7 @@ TEST(ValidatorV8, TransitiveEmptyIntersectionIsAnError) {
   Composition c = relay_chain();
   c.bind_contract("p", producer);
   c.bind_contract("k", consumer);
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   // The uncontracted relay hides this from the pairwise check...
   EXPECT_FALSE(has_rule(d, "V7"));
   // ...but the interval propagation sees [0,100] meet [200,300] = empty.
@@ -646,7 +667,7 @@ TEST(ValidatorV8, UnconstrainedTransitiveSourceWarns) {
       FlowSpec{.flow = "in.val", .range = Interval{200, 300}});
   Composition c = relay_chain();
   c.bind_contract("k", consumer);
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   const auto v8 = d.by_rule("V8");
   ASSERT_FALSE(v8.empty());
   EXPECT_EQ(v8.front()->severity, Severity::kWarning);
@@ -663,7 +684,7 @@ TEST(ValidatorV8, ContainedTransitiveRangePassesClean) {
   Composition c = relay_chain();
   c.bind_contract("p", producer);
   c.bind_contract("k", consumer);
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   EXPECT_FALSE(has_rule(d, "V8")) << d.render();
 }
 
@@ -736,7 +757,7 @@ TEST(ValidatorV10, UnresolvableLatencyAssumptionWarns) {
   consumer.assumptions.push_back(FlowSpec{
       .flow = "nosuch.val", .timing = {.latency = milliseconds(1)}});
   c.bind_contract("k", consumer);
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   const auto v10 = d.by_rule("V10");
   ASSERT_FALSE(v10.empty());
   EXPECT_EQ(v10.front()->severity, Severity::kWarning);
@@ -890,7 +911,7 @@ TEST(ValidatorV12, RelayWithoutAutonomousSourceIsDeadFlow) {
   c.add_connector({"r", "out", "k", "in"});
   // Any bound contract enables the whole-program pass.
   c.bind_contract("k", Contract{.name = "C0"});
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   const auto v12 = d.by_rule("V12");
   ASSERT_FALSE(v12.empty());
   EXPECT_EQ(v12.front()->severity, Severity::kWarning);
@@ -918,7 +939,7 @@ TEST(ValidatorV12, UnconsumedRelayedWriteIsReportedAsInfo) {
   c2.add_instance({"r", "Relay"});
   c2.add_connector({"p", "out", "r", "in"});
   c2.bind_contract("r", Contract{.name = "C0"});
-  const Diagnostics d = orte::validation::validate(c2);
+  const Diagnostics d = orte::validation::validate(c2, deploy_all(c2));
   const auto v12 = d.by_rule("V12");
   ASSERT_FALSE(v12.empty());
   EXPECT_EQ(v12.front()->severity, Severity::kInfo);
@@ -931,7 +952,7 @@ TEST(ValidatorV12, SilentOnTheReadV3FlagsAsFedByAnUnwrittenElement) {
   // the written r.out.val feeds.
   Composition c = relay_chain(/*p_writes=*/false);
   c.bind_contract("k", Contract{.name = "C0"});
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   const auto v12 = d.by_rule("V12");
   ASSERT_EQ(v12.size(), 1u) << d.render();
   EXPECT_EQ(v12.front()->severity, Severity::kWarning);
@@ -948,7 +969,7 @@ TEST(ValidatorV12, SilentOnTheWriteV3FlagsAsDeliveredButUnread) {
   // receiver r reads.
   Composition c = relay_chain(/*p_writes=*/true, /*k_reads=*/false);
   c.bind_contract("r", Contract{.name = "C0"});
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   const auto v12 = d.by_rule("V12");
   ASSERT_EQ(v12.size(), 1u) << d.render();
   EXPECT_EQ(v12.front()->severity, Severity::kInfo);
@@ -962,7 +983,7 @@ TEST(ValidatorV12, SilentOnTheWriteV3FlagsAsDeliveredButUnread) {
 TEST(ValidatorV12, AutonomousSourceMakesChainLive) {
   Composition c = relay_chain();
   c.bind_contract("k", Contract{.name = "C0"});
-  const Diagnostics d = orte::validation::validate(c);
+  const Diagnostics d = orte::validation::validate(c, deploy_all(c));
   EXPECT_FALSE(has_rule(d, "V12")) << d.render();
 }
 
@@ -1032,14 +1053,7 @@ TEST(ValidatorV15, PeriodicGuaranteeWithoutWatchdogWarnsPerSenderKey) {
   EXPECT_NE(v15.front()->hint.find("alive_supervision"), std::string::npos);
 }
 
-TEST(ValidatorV15, SilentWithoutAPlanOrWithRvDisabled) {
-  const auto bundle = orte::fi::workloads::brake_by_wire();
-  // No deployment plan: the detectability pass has no monitor inventory to
-  // reason about, so none of V13-V15 may fire.
-  const Diagnostics no_plan = orte::validation::validate(bundle.model);
-  EXPECT_FALSE(has_rule(no_plan, "V13"));
-  EXPECT_FALSE(has_rule(no_plan, "V15"));
-
+TEST(ValidatorV15, SilentWithRvDisabled) {
   auto off = orte::fi::workloads::brake_by_wire();
   off.plan.runtime_verification = false;
   const Diagnostics rv_off = orte::validation::validate(off.model, off.plan);

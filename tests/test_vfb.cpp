@@ -34,6 +34,16 @@ PortInterface value_interface(std::string name, bool queued = false) {
 
 // --- Composition validation ----------------------------------------------------
 
+/// Each instance on its own ECU: a plan for tests that judge the model
+/// rather than its deployment.
+DeploymentPlan deploy_all(const Composition& c) {
+  DeploymentPlan plan;
+  for (const auto& inst : c.instances()) {
+    plan.instances[inst.name] = {.ecu = inst.name};
+  }
+  return plan;
+}
+
 TEST(Composition, ValidModelPasses) {
   Composition c;
   c.add_interface(value_interface("IVal"));
@@ -48,7 +58,7 @@ TEST(Composition, ValidModelPasses) {
   c.add_instance({"p", "Producer"});
   c.add_instance({"k", "Consumer"});
   c.add_connector({"p", "out", "k", "in"});
-  EXPECT_FALSE(orte::validation::validate(c).has_errors());
+  EXPECT_FALSE(orte::validation::validate(c, deploy_all(c)).has_errors());
 }
 
 TEST(Composition, ConnectorDirectionMismatchFails) {
@@ -59,7 +69,7 @@ TEST(Composition, ConnectorDirectionMismatchFails) {
   c.add_instance({"a", "A"});
   c.add_instance({"b", "B"});
   c.add_connector({"b", "in", "a", "out"});  // reversed
-  EXPECT_TRUE(orte::validation::validate(c).has_errors());
+  EXPECT_TRUE(orte::validation::validate(c, deploy_all(c)).has_errors());
 }
 
 TEST(Composition, InterfaceMismatchFails) {
@@ -71,7 +81,7 @@ TEST(Composition, InterfaceMismatchFails) {
   c.add_instance({"a", "A"});
   c.add_instance({"b", "B"});
   c.add_connector({"a", "out", "b", "in"});
-  EXPECT_TRUE(orte::validation::validate(c).has_errors());
+  EXPECT_TRUE(orte::validation::validate(c, deploy_all(c)).has_errors());
 }
 
 TEST(Composition, MultipleFeedsToRequiredPortFail) {
@@ -84,7 +94,7 @@ TEST(Composition, MultipleFeedsToRequiredPortFail) {
   c.add_instance({"b", "B"});
   c.add_connector({"a1", "out", "b", "in"});
   c.add_connector({"a2", "out", "b", "in"});
-  EXPECT_TRUE(orte::validation::validate(c).has_errors());
+  EXPECT_TRUE(orte::validation::validate(c, deploy_all(c)).has_errors());
 }
 
 TEST(Composition, LookupsAnswerFromTheNameIndexes) {
@@ -118,7 +128,7 @@ TEST(Composition, WriteAccessOnRequiredPortFails) {
   r.accesses.push_back({"in", "val", DataAccessKind::kExplicitWrite});
   c.add_type({"B", {Port{"in", "IVal", PortDirection::kRequired}}, {r}});
   c.add_instance({"b", "B"});
-  EXPECT_TRUE(orte::validation::validate(c).has_errors());
+  EXPECT_TRUE(orte::validation::validate(c, deploy_all(c)).has_errors());
 }
 
 TEST(Composition, DuplicateNamesFail) {
