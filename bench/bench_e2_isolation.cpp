@@ -62,10 +62,7 @@ Row run_case(Policy policy, double factor) {
 
   os::TaskConfig bcfg{.name = "B", .priority = 2, .period = milliseconds(10),
                       .relative_deadline = milliseconds(10)};
-  if (policy == Policy::kBudgetKill) {
-    bcfg.budget = milliseconds(2);
-    bcfg.overrun_action = os::OverrunAction::kKillJob;
-  }
+  if (policy == Policy::kBudgetKill) bcfg.budget = milliseconds(2);
   if (policy == Policy::kPartition) bcfg.partition = partition;
   auto& b = ecu.add_task(bcfg);
   b.set_body([factor] {

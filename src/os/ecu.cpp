@@ -22,7 +22,6 @@ Ecu::Ecu(sim::Kernel& kernel, sim::Trace& trace, std::string name)
            trace.intern_category("task.kill"),
            trace.intern_category("task.activation_queued"),
            trace.intern_category("task.activation_lost"),
-           trace.intern_category("task.arrival_blocked"),
            trace.intern_category("partition.exhausted"),
            trace.intern_category("partition.replenish")} {}
 
@@ -131,14 +130,6 @@ std::uint64_t Ecu::partition_throttles(int partition) const {
 // --- Internal machinery -----------------------------------------------------
 
 void Ecu::activate_internal(Task& task) {
-  // Arrival-rate timing protection (AUTOSAR inter-arrival monitoring).
-  if (task.cfg_.min_interarrival > 0 && task.last_arrival_ >= 0 &&
-      kernel_.now() - task.last_arrival_ < task.cfg_.min_interarrival) {
-    ++task.arrivals_blocked_;
-    trace_.emit(kernel_.now(), cat_.arrival_blocked, task.trace_id_);
-    return;
-  }
-  task.last_arrival_ = kernel_.now();
   ++task.activations_;
   if (task.state_ == Task::State::kSuspended) {
     begin_job(task);
@@ -285,9 +276,7 @@ void Ecu::arm_run_event() {
   Task& t = *running_;
   assert(t.segment_remaining_ >= 0);
   Duration until = t.segment_remaining_;
-  if (t.cfg_.budget > 0 && t.cfg_.overrun_action != OverrunAction::kNone) {
-    until = std::min(until, t.job_budget_remaining_);
-  }
+  if (t.cfg_.budget > 0) until = std::min(until, t.job_budget_remaining_);
   if (t.cfg_.partition >= 0) {
     const auto& p = partitions_[static_cast<std::size_t>(t.cfg_.partition)];
     until = std::min(until, p.budget_remaining);
@@ -300,7 +289,6 @@ void Ecu::arm_run_event() {
 void Ecu::dispatch() {
   if (in_dispatch_) return;
   in_dispatch_ = true;
-  bool charge_switch = false;  // context-switch overhead owed by the incomer
   while (true) {
     Task* best = pick_next();
     if (best != running_) {
@@ -310,11 +298,6 @@ void Ecu::dispatch() {
       running_->state_ = Task::State::kRunning;
       ++context_switches_;
       run_start_ = kernel_.now();
-      if (running_->segment_started_) {
-        running_->segment_remaining_ += ctx_switch_;
-      } else {
-        charge_switch = true;  // added once the segment is evaluated below
-      }
     }
     if (running_ == nullptr) break;
     Task& t = *running_;
@@ -324,10 +307,6 @@ void Ecu::dispatch() {
       t.segment_remaining_ = seg.duration ? seg.duration() : 0;
       if (t.segment_remaining_ < 0) {
         throw std::logic_error("negative segment duration: " + t.cfg_.name);
-      }
-      if (charge_switch) {
-        t.segment_remaining_ += ctx_switch_;
-        charge_switch = false;
       }
       trace_.emit(kernel_.now(), cat_.start, t.trace_id_,
                   static_cast<std::int64_t>(t.segment_index_));
@@ -348,9 +327,7 @@ void Ecu::on_run_event() {
   run_start_ = kernel_.now();
   if (t.segment_remaining_ == 0) {
     run_segment_boundary(t);
-  } else if (t.cfg_.budget > 0 &&
-             t.cfg_.overrun_action == OverrunAction::kKillJob &&
-             t.job_budget_remaining_ == 0) {
+  } else if (t.cfg_.budget > 0 && t.job_budget_remaining_ == 0) {
     kill_job(t, "budget");
   } else if (t.cfg_.partition >= 0) {
     auto& p = partitions_[static_cast<std::size_t>(t.cfg_.partition)];

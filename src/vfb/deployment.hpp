@@ -25,8 +25,7 @@ enum class BusKind { kCan, kFlexRay };
 struct InstanceDeployment {
   std::string ecu;
   /// Timing-isolation attributes applied to every task of this instance: a
-  /// job that runs past a positive budget is killed
-  /// (os::OverrunAction::kKillJob); 0 = no budget.
+  /// job that runs past a positive budget is killed; 0 = no budget.
   sim::Duration budget = 0;
 };
 

@@ -13,7 +13,6 @@ namespace {
 
 using namespace orte::isolation;
 using orte::os::Ecu;
-using orte::os::OverrunAction;
 using orte::os::Task;
 using orte::sim::Kernel;
 using orte::sim::Trace;
@@ -98,15 +97,11 @@ struct IsolationScenario {
   explicit IsolationScenario(bool enforce) {
     auto& a = ecu.add_task(
         {.name = "supplierA", .priority = 3, .period = milliseconds(5),
-         .budget = enforce ? milliseconds(1) : 0,
-         .overrun_action =
-             enforce ? OverrunAction::kKillJob : OverrunAction::kNone});
+         .budget = enforce ? milliseconds(1) : 0});
     a.set_body(microseconds(800));
     auto& b = ecu.add_task(
         {.name = "supplierB", .priority = 2, .period = milliseconds(10),
-         .budget = enforce ? milliseconds(2) : 0,
-         .overrun_action =
-             enforce ? OverrunAction::kKillJob : OverrunAction::kNone});
+         .budget = enforce ? milliseconds(2) : 0});
     // B overruns its 2ms contract by 4x from t=100ms on.
     b.add_segment({.duration = orte::isolation::overrunning_wcet(
                        kernel, milliseconds(2), 4.0, milliseconds(100),
@@ -114,9 +109,7 @@ struct IsolationScenario {
     auto& c = ecu.add_task(
         {.name = "supplierC", .priority = 1, .period = milliseconds(10),
          .relative_deadline = milliseconds(10),
-         .budget = enforce ? milliseconds(3) : 0,
-         .overrun_action =
-             enforce ? OverrunAction::kKillJob : OverrunAction::kNone});
+         .budget = enforce ? milliseconds(3) : 0});
     c.set_body(milliseconds(3));
     victim = &c;
     aggressor = &b;
