@@ -29,11 +29,11 @@ void print_inventory() {
   std::puts("  -------------------------  ------------------  ----------------------------");
   std::puts("  VFB / RTE                  src/vfb             Composition, Rte, System");
   std::puts("  OS kernel                  src/os              Ecu, fixed-priority + TT + budgets");
-  std::puts("  COM services               src/bsw/com         signals, I-PDUs, tx modes, timeouts");
+  std::puts("  COM services               src/bsw/com         signals, I-PDUs, direct transmission");
   std::puts("  Mode management            src/bsw/mode        ModeMachine");
   std::puts("  Diagnostics                src/bsw/dem         Dem, DTC storage, aging");
   std::puts("  Memory services            -                   not modelled");
-  std::puts("  Error handling             src/bsw + trace     DEM events, com timeouts, wdg");
+  std::puts("  Error handling             src/bsw + trace     DEM events, wdg alive supervision");
   std::puts("  Bus systems                src/can,flexray,ttp CAN 2.0A, FlexRay 2.1, TTP");
   std::puts("  NoC / MPSoC (sec. 4)       src/noc             TDMA NoC, CAN overlay");
   std::puts("  Rich components (sec. 3)   src/contracts       A/G contracts, dominance, TA");

@@ -44,11 +44,6 @@ Com::Com(sim::Kernel& kernel, sim::Trace& trace)
     : kernel_(kernel), trace_(trace) {}
 
 void Com::add_tx_ipdu(IPduConfig cfg, net::Controller& controller) {
-  if (started_) throw std::logic_error("Com::add_tx_ipdu after start()");
-  if ((cfg.mode == TxMode::kPeriodic || cfg.mode == TxMode::kMixed) &&
-      cfg.period <= 0) {
-    throw std::invalid_argument("periodic I-PDU needs a period: " + cfg.name);
-  }
   TxPdu pdu;
   pdu.controller = &controller;
   pdu.payload.assign(cfg.length_bytes, 0);
@@ -60,16 +55,14 @@ void Com::add_tx_ipdu(IPduConfig cfg, net::Controller& controller) {
 }
 
 void Com::add_rx_ipdu(IPduConfig cfg, net::Controller& controller) {
-  if (started_) throw std::logic_error("Com::add_rx_ipdu after start()");
   RxPdu pdu;
   pdu.payload.assign(cfg.length_bytes, 0);
   const std::string name = cfg.name;
   const std::uint32_t frame_id = cfg.frame_id;
   pdu.cfg = std::move(cfg);
-  if (!rx_.emplace(name, std::move(pdu)).second) {
-    throw std::invalid_argument("duplicate rx I-PDU: " + name);
-  }
-  rx_by_frame_id_[frame_id] = name;
+  const auto [it, inserted] = rx_.emplace(name, std::move(pdu));
+  if (!inserted) throw std::invalid_argument("duplicate rx I-PDU: " + name);
+  rx_by_frame_id_[frame_id] = &it->second;
   // Subscribe once per controller; every rx PDU shares the dispatch path.
   if (std::find(subscribed_.begin(), subscribed_.end(), &controller) ==
       subscribed_.end()) {
@@ -79,39 +72,24 @@ void Com::add_rx_ipdu(IPduConfig cfg, net::Controller& controller) {
 }
 
 void Com::add_signal(SignalConfig cfg) {
-  const bool tx_side = tx_.find(cfg.ipdu) != tx_.end();
-  const bool rx_side = rx_.find(cfg.ipdu) != rx_.end();
-  if (!tx_side && !rx_side) {
+  const auto tx = tx_.find(cfg.ipdu);
+  const auto rx = rx_.find(cfg.ipdu);
+  if (tx == tx_.end() && rx == rx_.end()) {
     throw std::invalid_argument("signal references unknown I-PDU: " +
                                 cfg.ipdu);
   }
-  const std::string name = cfg.name;
-  Signal sig;
+  const auto [it, inserted] = signals_.try_emplace(cfg.name);
+  if (!inserted) throw std::invalid_argument("duplicate signal: " + cfg.name);
+  Signal& sig = it->second;
   sig.cfg = std::move(cfg);
-  if (!signals_.emplace(name, std::move(sig)).second) {
-    throw std::invalid_argument("duplicate signal: " + name);
-  }
-}
-
-void Com::start() {
-  if (started_) throw std::logic_error("Com::start called twice");
-  started_ = true;
-  for (auto& [name, pdu] : tx_) {
-    if (pdu.cfg.mode == TxMode::kPeriodic || pdu.cfg.mode == TxMode::kMixed) {
-      TxPdu* p = &pdu;
-      kernel_.schedule_periodic(
-          kernel_.now() + p->cfg.offset, p->cfg.period,
-          [this, p] { transmit(*p); }, sim::EventOrder::kKernel);
-    }
-  }
-  bool any_timeout = false;
-  for (const auto& [name, pdu] : rx_) {
-    if (pdu.cfg.rx_timeout > 0) any_timeout = true;
-  }
-  if (any_timeout) {
-    kernel_.schedule_periodic(
-        kernel_.now() + sim::milliseconds(1), sim::milliseconds(1),
-        [this] { check_timeouts(); }, sim::EventOrder::kObserver);
+  if (tx != tx_.end()) sig.tx = &tx->second;
+  if (rx != rx_.end()) {
+    auto& list = rx->second.signals;
+    list.insert(std::upper_bound(list.begin(), list.end(), &sig,
+                                 [](const Signal* a, const Signal* b) {
+                                   return a->cfg.name < b->cfg.name;
+                                 }),
+                &sig);
   }
 }
 
@@ -121,17 +99,11 @@ void Com::send_signal(std::string_view name, std::uint64_t value) {
     throw std::invalid_argument("Com::send_signal: unknown signal");
   }
   Signal& sig = it->second;
-  auto pit = tx_.find(sig.cfg.ipdu);
-  if (pit == tx_.end()) {
+  if (sig.tx == nullptr) {
     throw std::logic_error("Com::send_signal on an rx-side signal");
   }
-  TxPdu& pdu = pit->second;
-  pack_signal(pdu.payload, sig.cfg.bit_offset, sig.cfg.bit_length, value);
-  pdu.dirty = true;
-  if (sig.cfg.triggered && (pdu.cfg.mode == TxMode::kDirect ||
-                            pdu.cfg.mode == TxMode::kMixed)) {
-    transmit(pdu);
-  }
+  pack_signal(sig.tx->payload, sig.cfg.bit_offset, sig.cfg.bit_length, value);
+  transmit(*sig.tx);
 }
 
 void Com::on_signal(std::string_view name, SignalCallback cb) {
@@ -148,7 +120,6 @@ void Com::transmit(TxPdu& pdu) {
   frame.name = pdu.cfg.name;
   frame.payload = pdu.payload;
   frame.enqueued_at = kernel_.now();
-  pdu.dirty = false;
   ++pdus_sent_;
   trace_.emit(kernel_.now(), "com.tx", pdu.cfg.name, frame.id);
   pdu.controller->send(std::move(frame));
@@ -157,36 +128,18 @@ void Com::transmit(TxPdu& pdu) {
 void Com::handle_rx(const net::Frame& frame) {
   auto idit = rx_by_frame_id_.find(frame.id);
   if (idit == rx_by_frame_id_.end()) return;  // not for us
-  RxPdu& pdu = rx_.find(idit->second)->second;
+  RxPdu& pdu = *idit->second;
   // Stage into the PDU's own (mutable) buffer; reuses capacity, so steady
   // state does no allocation. The frame's shared payload stays untouched.
   pdu.payload.assign(frame.payload.begin(), frame.payload.end());
   pdu.payload.resize(pdu.cfg.length_bytes, 0);
-  pdu.last_rx = kernel_.now();
-  pdu.timed_out = false;
   ++pdus_received_;
   trace_.emit(kernel_.now(), "com.rx", pdu.cfg.name, frame.id);
   // Update and notify every signal mapped onto this PDU.
-  for (auto& [name, sig] : signals_) {
-    if (sig.cfg.ipdu != pdu.cfg.name) continue;
+  for (const Signal* sig : pdu.signals) {
     const std::uint64_t value =
-        unpack_signal(pdu.payload, sig.cfg.bit_offset, sig.cfg.bit_length);
-    for (const auto& cb : sig.callbacks) cb(value);
-  }
-}
-
-void Com::check_timeouts() {
-  for (auto& [name, pdu] : rx_) {
-    if (pdu.cfg.rx_timeout <= 0 || pdu.timed_out) continue;
-    const Time deadline =
-        (pdu.last_rx < 0 ? pdu.cfg.rx_timeout
-                         : pdu.last_rx + pdu.cfg.rx_timeout);
-    if (kernel_.now() > deadline) {
-      pdu.timed_out = true;
-      ++rx_timeouts_;
-      trace_.emit(kernel_.now(), "com.rx_timeout", name);
-      if (timeout_cb_) timeout_cb_(name);
-    }
+        unpack_signal(pdu.payload, sig->cfg.bit_offset, sig->cfg.bit_length);
+    for (const auto& cb : sig->callbacks) cb(value);
   }
 }
 
