@@ -202,6 +202,11 @@ TEST(FlexRay, InvalidConfigRejected) {
   negative_minislot.minislot_len = -microseconds(1);
   EXPECT_THROW(FlexRayBus(f.kernel, f.trace, negative_minislot),
                std::invalid_argument);
+  // The dynamic segment counts minislots by dividing by their length.
+  FlexRayConfig zero_minislot = small_config();
+  zero_minislot.minislot_len = 0;
+  EXPECT_THROW(FlexRayBus(f.kernel, f.trace, zero_minislot),
+               std::invalid_argument);
   FlexRayConfig negative_idle = small_config();
   negative_idle.network_idle = -milliseconds(1);
   EXPECT_THROW(FlexRayBus(f.kernel, f.trace, negative_idle),
