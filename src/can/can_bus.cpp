@@ -5,12 +5,6 @@
 
 namespace orte::can {
 
-namespace {
-// Error frame + error delimiter + recovery, conservative (bits). The normal
-// 3-bit interframe space is already part of the Davis frame-time formula.
-constexpr int kErrorFrameBits = 31;
-}  // namespace
-
 // --- CanController -----------------------------------------------------------
 
 void CanController::send(Frame frame) {
@@ -40,15 +34,10 @@ Frame CanController::pop_head() {
 // --- CanBus ------------------------------------------------------------------
 
 CanBus::CanBus(sim::Kernel& kernel, sim::Trace& trace, CanConfig cfg)
-    : kernel_(kernel), trace_(trace), cfg_(std::move(cfg)), rng_(cfg_.seed) {
+    : kernel_(kernel), trace_(trace), cfg_(std::move(cfg)) {
   if (cfg_.bitrate_bps <= 0) {
     throw std::invalid_argument("CAN bitrate must be positive");
   }
-  // Negated so that NaN fails too.
-  if (!(cfg_.error_rate >= 0.0 && cfg_.error_rate < 1.0)) {
-    throw std::invalid_argument("CAN error rate must be in [0, 1)");
-  }
-  bit_time_ = 1'000'000'000 / cfg_.bitrate_bps;
 }
 
 CanController& CanBus::attach() {
@@ -80,7 +69,7 @@ void CanBus::try_arbitrate() {
   // simulated instant all take part, as they would within one bit time on
   // the wire — regardless of the order their software happened to run in.
   arbitration_scheduled_ = true;
-  kernel_.schedule_at(std::max(kernel_.now(), idle_at_),
+  kernel_.schedule_at(kernel_.now(),
                       [this] {
                         arbitration_scheduled_ = false;
                         arbitrate();
@@ -115,47 +104,35 @@ void CanBus::arbitrate() {
 
 void CanBus::finish_tx() {
   busy_ = false;
-  const bool corrupted = cfg_.error_rate > 0.0 && rng_.chance(cfg_.error_rate);
-  stats_.record_tx(in_flight_.sent_at, kernel_.now(), !corrupted);
-  if (corrupted) {
-    // Error frame follows; CAN automatically retransmits: requeue at the
-    // source controller with original enqueue timestamp.
-    ++retransmissions_;
-    trace_.emit(kernel_.now(), "can.error", in_flight_.name, in_flight_.id);
-    idle_at_ = kernel_.now() + kErrorFrameBits * bit_time_;
-    controllers_[static_cast<std::size_t>(in_flight_source_)]->push_sorted(
-        std::move(in_flight_));
+  // The interframe space is folded into the frame time: the bus is idle now.
+  stats_.record_tx(in_flight_.sent_at, kernel_.now(), true);
+  Frame frame = std::move(in_flight_);
+  const int source = in_flight_source_;
+  net::FaultVerdict verdict;
+  if (fault_hook_) verdict = fault_hook_(frame);
+  if (verdict.drop) {
+    // The frame made it over the wire but is injected away before any
+    // listener sees it (receiver-side CRC reject without the error-frame
+    // broadcast — the "silent loss" half of the fault space).
+    stats_.record_drop();
+    trace_.emit(kernel_.now(), "can.fault_drop", frame.name, frame.id);
+  } else if (verdict.delay > 0) {
+    trace_.emit(kernel_.now(), "can.fault_delay", frame.name, verdict.delay);
+    kernel_.schedule_in(
+        verdict.delay,
+        [this, frame = std::move(frame), source]() mutable {
+          frame.delivered_at = kernel_.now();
+          trace_.emit(kernel_.now(), "can.rx", frame.name, frame.id);
+          for (const auto& c : controllers_) {
+            if (c->node_ != source) c->deliver(frame);
+          }
+        },
+        sim::EventOrder::kHardware);
   } else {
-    idle_at_ = kernel_.now();  // IFS is folded into the frame time
-    Frame frame = std::move(in_flight_);
-    const int source = in_flight_source_;
-    net::FaultVerdict verdict;
-    if (fault_hook_) verdict = fault_hook_(frame);
-    if (verdict.drop) {
-      // The frame made it over the wire but is injected away before any
-      // listener sees it (receiver-side CRC reject without the error-frame
-      // broadcast — the "silent loss" half of the fault space).
-      stats_.record_drop();
-      trace_.emit(kernel_.now(), "can.fault_drop", frame.name, frame.id);
-    } else if (verdict.delay > 0) {
-      trace_.emit(kernel_.now(), "can.fault_delay", frame.name,
-                  verdict.delay);
-      kernel_.schedule_in(
-          verdict.delay,
-          [this, frame = std::move(frame), source]() mutable {
-            frame.delivered_at = kernel_.now();
-            trace_.emit(kernel_.now(), "can.rx", frame.name, frame.id);
-            for (const auto& c : controllers_) {
-              if (c->node_ != source) c->deliver(frame);
-            }
-          },
-          sim::EventOrder::kHardware);
-    } else {
-      frame.delivered_at = kernel_.now();
-      trace_.emit(kernel_.now(), "can.rx", frame.name, frame.id);
-      for (const auto& c : controllers_) {
-        if (c->node_ != source) c->deliver(frame);
-      }
+    frame.delivered_at = kernel_.now();
+    trace_.emit(kernel_.now(), "can.rx", frame.name, frame.id);
+    for (const auto& c : controllers_) {
+      if (c->node_ != source) c->deliver(frame);
     }
   }
   try_arbitrate();

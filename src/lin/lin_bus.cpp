@@ -26,8 +26,7 @@ LinBus::LinBus(sim::Kernel& kernel, sim::Trace& trace, LinConfig cfg)
       trace_(trace),
       cfg_(std::move(cfg)),
       bit_time_(1'000'000'000 / cfg_.bitrate_bps),
-      responses_(kMaxFrameId + 1),
-      rng_(cfg_.seed) {
+      responses_(kMaxFrameId + 1) {
   if (cfg_.bitrate_bps <= 0) {
     throw std::invalid_argument("LIN bitrate must be positive");
   }
@@ -123,15 +122,7 @@ void LinBus::run_slot(std::size_t index) {
         Frame frame = *responses_[id];
         frame.sent_at = slot_start;
         frame.delivered_at = kernel_.now();
-        const bool corrupted = cfg_.checksum_error_rate > 0 &&
-                               rng_.chance(cfg_.checksum_error_rate);
-        stats_.record_tx(frame.sent_at, kernel_.now(), !corrupted);
-        if (corrupted) {
-          ++checksum_errors_;
-          trace_.emit(kernel_.now(), "lin.checksum_error", frame.name,
-                      frame.id);
-          return;  // subscribers reject the frame
-        }
+        stats_.record_tx(frame.sent_at, kernel_.now(), true);
         trace_.emit(kernel_.now(), "lin.rx", frame.name, frame.id);
         for (const auto& n : nodes_) {
           if (n->index() != frame.source) n->deliver(frame);

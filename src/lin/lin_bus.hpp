@@ -5,9 +5,8 @@
 // *publisher* (master or one slave) answers with a response. Time-triggered
 // by construction — the LIN schedule is the low-cost cousin of the FlexRay
 // static segment, with the same composability property: frame timing is
-// fixed by the table, not by node behaviour. Faults: a silent publisher
-// produces a no-response slot (detected and counted); checksum corruption
-// can be injected per-frame.
+// fixed by the table, not by node behaviour. Fault: a silent publisher
+// produces a no-response slot (detected and counted).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +18,6 @@
 #include "net/bus_stats.hpp"
 #include "net/frame.hpp"
 #include "sim/kernel.hpp"
-#include "sim/rng.hpp"
 #include "sim/trace.hpp"
 
 namespace orte::lin {
@@ -65,8 +63,6 @@ struct LinScheduleEntry {
 struct LinConfig {
   std::string name = "lin0";
   std::int64_t bitrate_bps = 19'200;
-  double checksum_error_rate = 0.0;  ///< Per-response corruption probability.
-  std::uint64_t seed = 1;
 };
 
 class LinBus {
@@ -89,9 +85,6 @@ class LinBus {
 
   [[nodiscard]] const net::BusStats& stats() const { return stats_; }
   [[nodiscard]] std::uint64_t no_responses() const { return no_responses_; }
-  [[nodiscard]] std::uint64_t checksum_errors() const {
-    return checksum_errors_;
-  }
 
  private:
   friend class LinNode;
@@ -108,9 +101,7 @@ class LinBus {
   /// Response buffer per frame id (published data waiting for the poll).
   std::vector<std::optional<Frame>> responses_;
   net::BusStats stats_;
-  sim::Rng rng_;
   std::uint64_t no_responses_ = 0;
-  std::uint64_t checksum_errors_ = 0;
   bool started_ = false;
 };
 
