@@ -11,7 +11,6 @@ void PduRouter::add_route(net::Controller& from, net::Controller& to,
   from.on_receive([this, out, route](const net::Frame& frame) {
     if (frame.id != route.match_id) return;
     net::Frame copy = frame;
-    if (route.remap_id.has_value()) copy.id = *route.remap_id;
     kernel_.schedule_in(route.processing,
                         [this, out, copy]() mutable {
                           copy.enqueued_at = kernel_.now();

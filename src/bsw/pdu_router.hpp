@@ -1,12 +1,11 @@
 // PDU Router: gateway routing between bus controllers (Figure 1's "Gateway"
-// block). Forwards matching frames from one network to another after a
-// configurable processing latency, optionally remapping the identifier —
-// the store-and-forward hop that the federated architecture pays for every
-// inter-DAS signal (experiment E7).
+// block). Forwards matching frames from one network to another, identifier
+// unchanged, after a configurable processing latency — the store-and-forward
+// hop that the federated architecture pays for every inter-DAS signal
+// (experiment E7).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,7 +17,6 @@ namespace orte::bsw {
 
 struct GatewayRoute {
   std::uint32_t match_id = 0;
-  std::optional<std::uint32_t> remap_id;  ///< Keep original when empty.
   sim::Duration processing = sim::microseconds(200);
 };
 

@@ -38,9 +38,7 @@ void WatchdogManager::start() {
 
 void WatchdogManager::cycle() {
   for (auto& [name, e] : entities_) {
-    const bool ok = e.count >= e.cfg.min_indications &&
-                    e.count <= e.cfg.max_indications;
-    if (ok) {
+    if (e.count >= e.cfg.min_indications) {
       e.failed_cycles = 0;
     } else {
       ++e.failed_cycles;

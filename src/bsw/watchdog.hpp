@@ -1,6 +1,6 @@
 // Watchdog Manager: alive supervision of tasks/runnables.
 //
-// Each supervised entity must report between [min, max] checkpoint
+// Each supervised entity must report at least `min_indications` checkpoint
 // indications per supervision cycle; violations fire a callback (typically
 // wired to DEM + a mode switch to a safe state). Together with execution
 // budgets this closes the timing-isolation loop: budgets bound *over*-use of
@@ -23,7 +23,6 @@ namespace orte::bsw {
 struct SupervisionConfig {
   std::string entity;
   std::uint32_t min_indications = 1;
-  std::uint32_t max_indications = UINT32_MAX;
   /// Consecutive failed cycles tolerated before the violation fires.
   std::uint32_t failed_cycles_tolerance = 0;
 };

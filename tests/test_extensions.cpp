@@ -174,8 +174,7 @@ TEST(PduRouter, ForwardsAcrossBuses) {
   auto& dst = bus2.attach();
   bsw::PduRouter router(kernel, trace, "gw");
   router.add_route(gw_in, gw_out,
-                   {.match_id = 0x30, .remap_id = std::uint32_t{0x40},
-                    .processing = microseconds(500)});
+                   {.match_id = 0x30, .processing = microseconds(500)});
   std::vector<std::pair<sim::Time, std::uint32_t>> rx;
   dst.on_receive([&](const net::Frame& f) {
     rx.emplace_back(kernel.now(), f.id);
@@ -190,7 +189,7 @@ TEST(PduRouter, ForwardsAcrossBuses) {
   });
   kernel.run_until(milliseconds(10));
   ASSERT_EQ(rx.size(), 1u);
-  EXPECT_EQ(rx[0].second, 0x40u);  // remapped id
+  EXPECT_EQ(rx[0].second, 0x30u);  // the id crosses the gateway unchanged
   // bus1 frame (190us, 4 bytes) + 500us gateway + bus2 frame (190us).
   EXPECT_EQ(rx[0].first, microseconds(190 + 500 + 190));
   EXPECT_EQ(router.frames_forwarded(), 1u);

@@ -1,5 +1,5 @@
 // Unit + property tests: Time-Triggered Ethernet switch — TT punctuality,
-// RC policing, BE starvation, class priority at the egress port.
+// BE starvation, class priority at the egress port.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -69,41 +69,6 @@ TEST(Tte, TtStateSemanticsLatestValueWins) {
   EXPECT_EQ(f.sw.frames_delivered(), 1u);
 }
 
-TEST(Tte, RcPolicerDropsBagViolations) {
-  Fixture f;
-  auto& a = f.sw.attach("a");
-  auto& b = f.sw.attach("b");
-  f.sw.add_flow({.id = 2, .cls = TrafficClass::kRateConstrained, .source = 0,
-                 .destination = 1, .bytes = 100, .bag = milliseconds(1)});
-  int rx = 0;
-  b.on_receive([&](const TteFrame&) { ++rx; });
-  f.sw.start();
-  // Babbling RC talker: 10 frames within one BAG window.
-  for (int i = 0; i < 10; ++i) {
-    f.kernel.schedule_at(microseconds(10 * i),
-                         [&] { a.send(2, std::vector<std::uint8_t>(100)); });
-  }
-  f.kernel.run_until(milliseconds(5));
-  EXPECT_EQ(rx, 1);
-  EXPECT_EQ(f.sw.policing_drops(), 9u);
-}
-
-TEST(Tte, RcConformingTrafficAllPasses) {
-  Fixture f;
-  auto& a = f.sw.attach("a");
-  auto& b = f.sw.attach("b");
-  f.sw.add_flow({.id = 2, .cls = TrafficClass::kRateConstrained, .source = 0,
-                 .destination = 1, .bytes = 100, .bag = milliseconds(1)});
-  int rx = 0;
-  b.on_receive([&](const TteFrame&) { ++rx; });
-  f.sw.start();
-  f.kernel.schedule_periodic(0, milliseconds(1),
-                             [&] { a.send(2, std::vector<std::uint8_t>(64)); });
-  f.kernel.run_until(milliseconds(10) - 1);
-  EXPECT_EQ(rx, 10);
-  EXPECT_EQ(f.sw.policing_drops(), 0u);
-}
-
 TEST(Tte, EgressShufflingAndClassPriority) {
   Fixture f;
   auto& a = f.sw.attach("a");
@@ -111,27 +76,28 @@ TEST(Tte, EgressShufflingAndClassPriority) {
   f.sw.add_flow({.id = 1, .cls = TrafficClass::kTimeTriggered, .source = 0,
                  .destination = 1, .bytes = 100,
                  .period = milliseconds(1), .offset = microseconds(50)});
-  f.sw.add_flow({.id = 2, .cls = TrafficClass::kRateConstrained, .source = 0,
-                 .destination = 1, .bytes = 500, .bag = microseconds(100)});
+  f.sw.add_flow({.id = 2, .cls = TrafficClass::kBestEffort, .source = 0,
+                 .destination = 1, .bytes = 500});
   f.sw.add_flow({.id = 3, .cls = TrafficClass::kBestEffort, .source = 0,
                  .destination = 1, .bytes = 1000});
   std::vector<std::uint32_t> order;
   dst.on_receive([&](const TteFrame& fr) { order.push_back(fr.flow); });
-  // Timeline: RC (500B) reaches the egress at ~45us and starts transmitting;
-  // the TT frame (dispatched at 50us) arrives at ~63us mid-RC and must
-  // *shuffle* (wait for RC to finish); the BE frame (1000B) arrives at ~85us.
-  // When RC completes (~88us) the egress serves TT before BE.
+  // Timeline: BE frame 2 (500B) reaches the egress at ~45us and starts
+  // transmitting; the TT frame (dispatched at 50us) arrives at ~63us
+  // mid-frame and must *shuffle* (wait for it to finish); BE frame 3 (1000B)
+  // arrives at ~85us. When frame 2 completes (~88us) the egress serves TT
+  // before the queued BE frame 3.
   f.kernel.schedule_at(0, [&] {
     a.send(3, std::vector<std::uint8_t>(1000));  // BE
-    a.send(2, std::vector<std::uint8_t>(500));   // RC
+    a.send(2, std::vector<std::uint8_t>(500));   // BE
     a.send(1, std::vector<std::uint8_t>(100));   // TT (buffered for 50us)
   });
   f.sw.start();
   f.kernel.run_until(milliseconds(1) - 1);
   ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 2u);  // RC was already on the wire (shuffling)
+  EXPECT_EQ(order[0], 2u);  // BE frame 2 was already on the wire (shuffling)
   EXPECT_EQ(order[1], 1u);  // TT preempts the *queue*, not the wire
-  EXPECT_EQ(order[2], 3u);  // BE goes last
+  EXPECT_EQ(order[2], 3u);  // the queued BE frame goes last
 }
 
 TEST(Tte, ConfigurationErrorsRejected) {
@@ -143,10 +109,6 @@ TEST(Tte, ConfigurationErrorsRejected) {
   EXPECT_THROW(
       f.sw.add_flow({.id = 1, .cls = TrafficClass::kTimeTriggered,
                      .source = 0, .destination = 1, .period = 0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      f.sw.add_flow({.id = 1, .cls = TrafficClass::kRateConstrained,
-                     .source = 0, .destination = 1, .bag = 0}),
       std::invalid_argument);
   f.sw.add_flow({.id = 1, .cls = TrafficClass::kBestEffort, .source = 0,
                  .destination = 1});
