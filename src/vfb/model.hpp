@@ -25,21 +25,14 @@ namespace orte::vfb {
 
 using sim::Duration;
 
-/// Overflow semantics of a bounded queued element, mirroring AUTOSAR queued
-/// sender-receiver communication.
-enum class QueueOverflow {
-  kReject,      ///< Full queue: the incoming value is discarded (E_LIMIT).
-  kDropOldest,  ///< Full queue: the oldest queued value is displaced.
-};
-
 struct DataElement {
   std::string name;
   std::size_t bit_length = 32;  ///< 1..64; packed into COM signals as-is.
   std::uint64_t init = 0;
-  bool queued = false;  ///< Queued (event) semantics instead of last-is-best.
-  /// Receiver-side queue bound for queued elements; 0 = unbounded (opt-out).
-  std::size_t queue_length = 16;
-  QueueOverflow overflow = QueueOverflow::kReject;
+  /// Queued (event) semantics instead of last-is-best. A receiver queue
+  /// holds Rte::kDefaultQueueLength values and rejects a value when full
+  /// (AUTOSAR E_LIMIT).
+  bool queued = false;
 };
 
 struct Operation {
@@ -80,7 +73,7 @@ struct DataAccess {
 [[nodiscard]] bool is_write(DataAccessKind kind);
 
 struct RunnableTrigger {
-  enum class Kind { kTiming, kDataReceived, kInit };
+  enum class Kind { kTiming, kDataReceived };
   Kind kind = Kind::kTiming;
   Duration period = 0;   ///< kTiming.
   std::string port;      ///< kDataReceived.
@@ -92,7 +85,6 @@ struct RunnableTrigger {
   static RunnableTrigger data_received(std::string port, std::string element) {
     return {Kind::kDataReceived, 0, std::move(port), std::move(element)};
   }
-  static RunnableTrigger init() { return {Kind::kInit, 0, {}, {}}; }
 };
 
 class RunnableContext;  // defined in rte.hpp
@@ -113,11 +105,6 @@ struct Runnable {
   std::vector<std::string> server_calls;
   /// The actual computation; runs at runnable completion (zero sim-time).
   std::function<void(RunnableContext&)> behavior;
-  /// Mode-dependent execution (AUTOSAR mode disabling): when set and
-  /// returning false at activation, the runnable consumes no CPU and its
-  /// behavior is skipped for that activation. Typically wired to a
-  /// bsw::ModeMachine ("run only in RUN mode").
-  std::function<bool()> enabled_if;
 };
 
 struct ComponentType {

@@ -74,8 +74,7 @@ std::string Rte::key(std::string_view instance, std::string_view port,
 }
 
 Rte::Slot& Rte::slot(const std::string& receiver_key, bool queued,
-                     std::uint64_t init, std::size_t queue_length,
-                     QueueOverflow overflow) {
+                     std::uint64_t init) {
   const auto [it, inserted] = slots_.try_emplace(receiver_key);
   Slot& entry = it->second;
   if (inserted) {
@@ -84,8 +83,6 @@ Rte::Slot& Rte::slot(const std::string& receiver_key, bool queued,
   }
   entry.queued = queued;
   entry.value = init;
-  entry.queue_limit = queue_length;
-  entry.overflow = overflow;
   return entry;
 }
 
@@ -113,9 +110,8 @@ Rte::Component& Rte::component(std::string_view instance) {
 
 void Rte::add_local_route(const std::string& sender_key,
                           const std::string& receiver_key, bool queued,
-                          std::uint64_t init, std::size_t queue_length,
-                          QueueOverflow overflow) {
-  Slot& receiver = slot(receiver_key, queued, init, queue_length, overflow);
+                          std::uint64_t init) {
+  Slot& receiver = slot(receiver_key, queued, init);
   sender(sender_key).receivers.push_back(&receiver);
 }
 
@@ -126,9 +122,8 @@ void Rte::add_remote_route(const std::string& sender_key, bsw::Com& com,
 
 void Rte::add_remote_receiver(const std::string& receiver_key, bsw::Com& com,
                               const std::string& signal, bool queued,
-                              std::uint64_t init, std::size_t queue_length,
-                              QueueOverflow overflow) {
-  Slot* receiver = &slot(receiver_key, queued, init, queue_length, overflow);
+                              std::uint64_t init) {
+  Slot* receiver = &slot(receiver_key, queued, init);
   com.on_signal(signal,
                 [this, receiver](std::uint64_t value) {
                   deliver(*receiver, value);
@@ -147,17 +142,14 @@ void Rte::deliver(Slot& slot, std::uint64_t value) {
   if (slot.queued) {
     // Bounded AUTOSAR-style queue; slot.value keeps the init (queued slots
     // are read through the queue, never last-is-best).
-    if (slot.queue_limit > 0 && slot.queue.size() >= slot.queue_limit) {
+    if (slot.queue.size() >= kDefaultQueueLength) {
       ++overflows_;
       // Detail carries the element name so the record correlates with
       // element-level diagnostics (validator rules V3/V4) without parsing
       // the receiver key.
       trace_.emit(kernel_.now(), cat_.queue_overflow, slot.key_id,
                   static_cast<std::int64_t>(value), slot.element);
-      if (slot.overflow == QueueOverflow::kReject) {
-        return;  // value lost; no data-received activation
-      }
-      slot.queue.pop_front();  // kDropOldest: displace the head
+      return;  // rejected (E_LIMIT): no data-received activation
     }
     slot.queue.push_back(value);
   } else {

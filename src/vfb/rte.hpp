@@ -34,7 +34,8 @@ class RunnableContext;
 
 class Rte {
  public:
-  /// Default bound of a queued receiver slot (AUTOSAR queue length).
+  /// Bound of a queued receiver slot (AUTOSAR queue length); a full queue
+  /// rejects the incoming value.
   static constexpr std::size_t kDefaultQueueLength = 16;
 
   Rte(sim::Kernel& kernel, sim::Trace& trace, const Composition& composition,
@@ -54,8 +55,6 @@ class Rte {
     sim::TraceId key_id = sim::kNoTraceId;  ///< Interned receiver key.
     bool queued = false;
     std::deque<std::uint64_t> queue;
-    std::size_t queue_limit = kDefaultQueueLength;  ///< 0 = unbounded.
-    QueueOverflow overflow = QueueOverflow::kReject;
     sim::Time last_update = -1;
     /// Data-received activations, run after every accepted update.
     std::vector<std::function<void()>> hooks;
@@ -103,13 +102,9 @@ class Rte {
 
   // --- Wiring (called by the System generator) ------------------------------
   /// Same-ECU connection: writes to `sender` propagate to `receiver`.
-  /// For queued receivers, `queue_length` bounds the slot queue (0 =
-  /// unbounded) and `overflow` picks the full-queue semantics.
   void add_local_route(const std::string& sender_key,
                        const std::string& receiver_key, bool queued,
-                       std::uint64_t init,
-                       std::size_t queue_length = kDefaultQueueLength,
-                       QueueOverflow overflow = QueueOverflow::kReject);
+                       std::uint64_t init);
   /// Cross-ECU connection: writes to `sender` go out as a COM signal.
   void add_remote_route(const std::string& sender_key, bsw::Com& com,
                         std::string signal);
@@ -117,9 +112,7 @@ class Rte {
   /// signal `signal` is delivered into it.
   void add_remote_receiver(const std::string& receiver_key, bsw::Com& com,
                            const std::string& signal, bool queued,
-                           std::uint64_t init,
-                           std::size_t queue_length = kDefaultQueueLength,
-                           QueueOverflow overflow = QueueOverflow::kReject);
+                           std::uint64_t init);
   /// Deliver a value into a receiver slot, as a route or COM would.
   void deliver(const std::string& receiver_key, std::uint64_t value);
   /// Run `cb` whenever `receiver_key` is updated (data-received activation).
@@ -171,7 +164,7 @@ class Rte {
   [[nodiscard]] std::uint64_t writes() const { return writes_; }
   [[nodiscard]] std::uint64_t reads() const { return reads_; }
   [[nodiscard]] std::uint64_t calls() const { return calls_; }
-  /// Values lost to full receiver queues (rejected or displaced).
+  /// Values rejected by full receiver queues.
   [[nodiscard]] std::uint64_t overflows() const { return overflows_; }
   [[nodiscard]] const std::string& ecu_name() const { return ecu_name_; }
   /// Live value of a receiver slot (testing/diagnosis).
@@ -186,8 +179,7 @@ class Rte {
         quarantine_drop, call;
   };
 
-  Slot& slot(const std::string& receiver_key, bool queued, std::uint64_t init,
-             std::size_t queue_length, QueueOverflow overflow);
+  Slot& slot(const std::string& receiver_key, bool queued, std::uint64_t init);
   Sender& sender(const std::string& sender_key);
   Component& component(std::string_view instance);
   void deliver(Slot& slot, std::uint64_t value);

@@ -389,22 +389,19 @@ TEST(System, QueuedElementsDeliverFifoWithoutLoss) {
 
 namespace {
 
-// Burst producer (5ms, writes exactly values 1..10 then stops) against a
-// slow consumer (50ms, one drain per activation): the receiver queue fills
-// during the burst, so which values survive depends only on the overflow
-// policy, not on steady-state timing.
+// Burst producer (5ms, writes exactly values 1..40 then stops) against a
+// slow consumer (50ms, one drain per activation): the receiver queue
+// (Rte::kDefaultQueueLength = 16 deep) fills during the burst, so which
+// values survive depends only on the overflow rule, not on steady-state
+// timing.
 struct OverflowModel {
   Composition comp;
 
-  OverflowModel(std::vector<std::uint64_t>* sink, std::size_t queue_length,
-                QueueOverflow overflow) {
+  explicit OverflowModel(std::vector<std::uint64_t>* sink) {
     PortInterface i;
     i.name = "IVal";
     i.kind = PortInterface::Kind::kSenderReceiver;
-    DataElement elem{"val", 64, 0, /*queued=*/true};
-    elem.queue_length = queue_length;
-    elem.overflow = overflow;
-    i.elements.push_back(elem);
+    i.elements.push_back(DataElement{"val", 64, 0, /*queued=*/true});
     comp.add_interface(i);
 
     Runnable produce;
@@ -413,7 +410,7 @@ struct OverflowModel {
     produce.execution_time = [] { return microseconds(100); };
     produce.accesses.push_back({"out", "val", DataAccessKind::kExplicitWrite});
     produce.behavior = [n = std::uint64_t{0}](RunnableContext& ctx) mutable {
-      if (n < 10) ctx.write("out", "val", ++n);
+      if (n < 40) ctx.write("out", "val", ++n);
     };
     comp.add_type({"Producer",
                    {Port{"out", "IVal", PortDirection::kProvided}}, {produce}});
@@ -442,64 +439,24 @@ TEST(System, QueuedElementRejectPolicyKeepsOldest) {
   Kernel kernel;
   Trace trace;
   std::vector<std::uint64_t> consumed;
-  OverflowModel m(&consumed, /*queue_length=*/2, QueueOverflow::kReject);
+  OverflowModel m(&consumed);
   DeploymentPlan plan;
   plan.instances["p"] = {.ecu = "ecu0"};
   plan.instances["k"] = {.ecu = "ecu0"};
   System sys(kernel, trace, m.comp, plan);
-  sys.run_for(milliseconds(600));
-  // The burst (values 1..10 within 45ms) overruns the 2-deep queue while the
-  // consumer pops at most once per 50ms. Reject drops the NEWEST writes, so
-  // only the earliest values survive; the tail of the burst is lost forever.
-  ASSERT_GE(consumed.size(), 2u);
-  EXPECT_EQ(consumed[0], 1u);
-  for (std::size_t i = 0; i < consumed.size(); ++i) {
-    EXPECT_LE(consumed[i], 4u);
-    if (i > 0) {
-      EXPECT_GT(consumed[i], consumed[i - 1]);
-    }
-  }
-  EXPECT_GE(sys.rte("ecu0").overflows(), 6u);
-  EXPECT_GE(trace.count("rte.queue_overflow", "k.in.val"), 6u);
-}
-
-TEST(System, QueuedElementDropOldestPolicyKeepsNewest) {
-  Kernel kernel;
-  Trace trace;
-  std::vector<std::uint64_t> consumed;
-  OverflowModel m(&consumed, /*queue_length=*/2, QueueOverflow::kDropOldest);
-  DeploymentPlan plan;
-  plan.instances["p"] = {.ecu = "ecu0"};
-  plan.instances["k"] = {.ecu = "ecu0"};
-  System sys(kernel, trace, m.comp, plan);
-  sys.run_for(milliseconds(600));
-  // Drop-oldest displaces the head: after the burst the queue holds the
-  // NEWEST values (9, 10), so the consumer ends up at the burst's tail.
-  ASSERT_GE(consumed.size(), 2u);
-  for (std::size_t i = 1; i < consumed.size(); ++i) {
-    EXPECT_GT(consumed[i], consumed[i - 1]);
-  }
-  EXPECT_EQ(consumed.back(), 10u);
-  EXPECT_EQ(consumed[consumed.size() - 2], 9u);
-  EXPECT_GE(sys.rte("ecu0").overflows(), 6u);
-}
-
-TEST(System, QueuedElementUnboundedOptOutNeverOverflows) {
-  Kernel kernel;
-  Trace trace;
-  std::vector<std::uint64_t> consumed;
-  OverflowModel m(&consumed, /*queue_length=*/0, QueueOverflow::kReject);
-  DeploymentPlan plan;
-  plan.instances["p"] = {.ecu = "ecu0"};
-  plan.instances["k"] = {.ecu = "ecu0"};
-  System sys(kernel, trace, m.comp, plan);
-  sys.run_for(milliseconds(600));
-  // queue_length = 0 opts out of the bound: every burst value is retained
-  // and eventually drained, in order, with no overflow.
-  EXPECT_EQ(sys.rte("ecu0").overflows(), 0u);
-  EXPECT_EQ(trace.count("rte.queue_overflow", "k.in.val"), 0u);
-  EXPECT_EQ(consumed,
-            (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}));
+  sys.run_for(milliseconds(1100));
+  // The burst (values 1..40 within 195ms) overruns the 16-deep queue while
+  // the consumer pops once per 50ms. A full queue rejects the NEWEST write:
+  // 1..18 fill it, then only the writes right after a pop (22 at 105ms, 32
+  // at 155ms) get in; the other 20 values are lost forever. The run drains
+  // everything that got in, in order.
+  std::vector<std::uint64_t> kept;
+  for (std::uint64_t v = 1; v <= 18; ++v) kept.push_back(v);
+  kept.push_back(22);
+  kept.push_back(32);
+  EXPECT_EQ(consumed, kept);
+  EXPECT_EQ(sys.rte("ecu0").overflows(), 20u);
+  EXPECT_EQ(trace.count("rte.queue_overflow", "k.in.val"), 20u);
 }
 
 TEST(System, ClientServerCallInlinedAndRouted) {
@@ -572,25 +529,6 @@ TEST(System, CrossEcuClientServerRejected) {
   EXPECT_THROW(System(kernel, trace, comp, plan), std::invalid_argument);
 }
 
-TEST(System, InitRunnableRunsOnce) {
-  Kernel kernel;
-  Trace trace;
-  Composition comp;
-  comp.add_interface(value_interface("IVal"));
-  int init_runs = 0;
-  Runnable init;
-  init.name = "init";
-  init.trigger = RunnableTrigger::init();
-  init.behavior = [&init_runs](RunnableContext&) { ++init_runs; };
-  comp.add_type({"C", {}, {init}});
-  comp.add_instance({"c", "C"});
-  DeploymentPlan plan;
-  plan.instances["c"] = {.ecu = "ecu0"};
-  System sys(kernel, trace, comp, plan);
-  sys.run_for(milliseconds(50));
-  EXPECT_EQ(init_runs, 1);
-}
-
 TEST(System, BudgetedInstanceGetsKilled) {
   Kernel kernel;
   Trace trace;
@@ -618,39 +556,6 @@ TEST(System, UndeployedInstanceRejected) {
   DeploymentPlan plan;
   plan.instances["p"] = {.ecu = "ecu0"};  // k missing
   EXPECT_THROW(System(kernel, trace, m.comp, plan), std::invalid_argument);
-}
-
-TEST(System, ModeDisabledRunnableSkipsExecution) {
-  Kernel kernel;
-  Trace trace;
-  Composition comp;
-  comp.add_interface(value_interface("IVal"));
-  bool enabled = true;
-  int runs = 0;
-  Runnable r;
-  r.name = "r";
-  r.trigger = RunnableTrigger::timing(milliseconds(10));
-  r.execution_time = [] { return milliseconds(2); };
-  r.enabled_if = [&enabled] { return enabled; };
-  r.behavior = [&runs](RunnableContext&) { ++runs; };
-  comp.add_type({"C", {}, {r}});
-  comp.add_instance({"c", "C"});
-  DeploymentPlan plan;
-  plan.instances["c"] = {.ecu = "ecu0"};
-  System sys(kernel, trace, comp, plan);
-  sys.start();
-  kernel.run_until(milliseconds(45));  // activations at 0,10,20,30,40
-  EXPECT_EQ(runs, 5);
-  const double busy_enabled = sys.ecu("ecu0").utilization();
-  EXPECT_NEAR(busy_enabled, 2.0 / 10.0, 0.05);
-  // Disable: subsequent activations consume no CPU and skip the behavior.
-  enabled = false;
-  kernel.run_until(milliseconds(95));
-  EXPECT_EQ(runs, 5);
-  auto* task = sys.task_of("c", milliseconds(10));
-  ASSERT_NE(task, nullptr);
-  // Disabled jobs complete instantly.
-  EXPECT_DOUBLE_EQ(task->response_times().min(), 0.0);
 }
 
 TEST(System, SmallSignalsSharePackedPdus) {
