@@ -52,10 +52,6 @@ struct FlexRayConfig {
   std::size_t minislots = 40;
   Duration minislot_len = sim::microseconds(2);
   Duration network_idle = sim::microseconds(50);
-  /// Controller transmit-buffer depth for dynamic frames; when full, the
-  /// lowest-priority pending frame is dropped (real controllers have finite
-  /// message RAM — an unbounded backlog would hide a misconfigured system).
-  std::size_t dynamic_queue_limit = 64;
 };
 
 class FlexRayBus {

@@ -52,11 +52,6 @@ class Rng {
     return lo + static_cast<std::int64_t>(next_u64() % span);
   }
 
-  /// Uniform double in [lo, hi).
-  double uniform_real(double lo, double hi) {
-    return lo + (hi - lo) * next_double();
-  }
-
   /// True with probability p.
   bool chance(double p) { return next_double() < p; }
 

@@ -5,6 +5,11 @@
 
 namespace orte::ttp {
 
+namespace {
+/// Jitter of a clock-difference measurement (latch granularity etc).
+constexpr sim::Duration kReadingError = sim::microseconds(1);
+}  // namespace
+
 ClockSyncCluster::ClockSyncCluster(sim::Kernel& kernel, sim::Trace& trace,
                                    ClockSyncConfig cfg)
     : kernel_(kernel), trace_(trace), cfg_(std::move(cfg)), rng_(cfg_.seed) {
@@ -69,7 +74,6 @@ void ClockSyncCluster::resync() {
   // guard intervals must absorb.
   const sim::Duration pi = precision();
   worst_precision_ = std::max(worst_precision_, pi);
-  precision_us_.add(sim::to_us(pi));
 
   if (!cfg_.enable_sync) return;
 
@@ -84,7 +88,7 @@ void ClockSyncCluster::resync() {
     for (std::size_t j = 0; j < clocks_.size(); ++j) {
       if (j == i) continue;
       const sim::Duration noise =
-          rng_.uniform(-cfg_.reading_error, cfg_.reading_error);
+          rng_.uniform(-kReadingError, kReadingError);
       diffs.push_back(raw_clock(clocks_[j]) - own + noise);
     }
     std::sort(diffs.begin(), diffs.end());

@@ -16,7 +16,6 @@
 
 #include "sim/kernel.hpp"
 #include "sim/rng.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
 
@@ -26,8 +25,6 @@ struct ClockSyncConfig {
   std::size_t nodes = 4;
   double max_drift_ppm = 100.0;  ///< Crystal tolerance (+-).
   sim::Duration resync_interval = sim::milliseconds(10);
-  /// Jitter of a clock-difference measurement (latch granularity etc).
-  sim::Duration reading_error = sim::microseconds(1);
   std::size_t fault_tolerance = 1;  ///< k: faulty clocks tolerated by FTA.
   bool enable_sync = true;          ///< false = free-running baseline.
   std::uint64_t seed = 1;
@@ -50,9 +47,6 @@ class ClockSyncCluster {
   /// Worst precision observed at any resync boundary so far (ns).
   [[nodiscard]] sim::Duration worst_precision() const {
     return worst_precision_;
-  }
-  [[nodiscard]] const sim::Stats& precision_history_us() const {
-    return precision_us_;
   }
 
   /// Inject a byzantine clock: node reports (and runs) an offset error of
@@ -78,7 +72,6 @@ class ClockSyncCluster {
   sim::Rng rng_;
   std::vector<NodeClock> clocks_;
   sim::Duration worst_precision_ = 0;
-  sim::Stats precision_us_;
   std::size_t rounds_ = 0;
   bool started_ = false;
 };
