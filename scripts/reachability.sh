@@ -10,13 +10,18 @@
 # Shipped binaries are the benches (<build-dir>/bench), the examples
 # (<build-dir>/examples) and the repository benchmark's orte_perf
 # (perfbench/, configured as its own CMake project in <build-dir>/perfbench).
-# Everything is built in Debug with -O0 -fno-inline and one section per
-# function, and linked with --gc-sections, so a binary holds exactly the
-# functions it can call.
+# Everything is built in Debug with -O0 -fno-inline, -fkeep-inline-functions
+# (every inline function a translation unit sees is emitted, as a weak
+# symbol) and one section per function, and linked with --gc-sections, so a
+# binary holds exactly the functions it can call.
 #
-# A function is unreached when a src/ archive defines it as a strong text
-# symbol in namespace orte (mangled name _ZN4orte... or _ZNK4orte...) and no
-# shipped binary defines it. scripts/reachability.txt lists, by mangled name,
+# A function is unreached when a src/ archive defines it and no shipped
+# binary does. The archives' functions are their strong text symbols in
+# namespace orte (mangled name _ZN4orte... or _ZNK4orte...) and their weak
+# ones in namespace orte that are neither const members (_ZNK4orte...) nor
+# constructors or destructors: the non-const members and free functions
+# defined in src/ headers and included by a src/ source file.
+# scripts/reachability.txt lists, by mangled name,
 # the unreached functions kept on purpose, each after a comment with its
 # demangled name, the paper section it serves and its pending exercise.
 # Mangled names stay the same across GCC and binutils versions; demangled
@@ -24,14 +29,18 @@
 # newly unreached function, or a listed one that a binary now reaches (or
 # that is gone), which then leaves the file.
 #
-# Header-only code (inline functions, templates) is out of its reach: it is
-# compiled into the binaries that use it, not into an archive.
+# Out of its reach: struct fields and other settable values (a field that
+# only tests set is invisible to a symbol scan), const member functions
+# defined in headers (tests may read any state), constructors and
+# destructors defined in headers, templates, and header code that no src/
+# source file includes.
 set -euo pipefail
 export LC_ALL=C  # one collation for sort and comm
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 dir="$(mkdir -p "${1:-build-reach}" && cd "${1:-build-reach}" && pwd)"
-flags="-O0 -fno-inline -ffunction-sections -fdata-sections"
+flags="-O0 -fno-inline -fkeep-inline-functions -ffunction-sections"
+flags+=" -fdata-sections"
 link="-Wl,--gc-sections"
 jobs="$(nproc 2>/dev/null || echo 2)"
 
@@ -48,8 +57,23 @@ cmake --build "$dir/perfbench" --target orte_perf -j"$jobs"
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
+# A constructor or destructor ends its nested name with C1-C3 or D0-D2
+# after the length-prefixed source names (_ZN4orte3sim5StatsC2Ev).
 nm --defined-only "$dir"/src/*.a |
-  awk '$2 == "T" && ($3 ~ /^_ZN4orte/ || $3 ~ /^_ZNK4orte/) {print $3}' |
+  awk 'function structor(s,   i, n) {
+         i = 4
+         while (substr(s, i, 1) ~ /[0-9]/) {
+           n = 0
+           while (substr(s, i, 1) ~ /[0-9]/) {
+             n = n * 10 + substr(s, i, 1)
+             i++
+           }
+           i += n
+         }
+         return substr(s, i, 2) ~ /^(C[123]|D[012])$/
+       }
+       ($2 == "T" && $3 ~ /^_ZNK?4orte/) ||
+       ($2 == "W" && $3 ~ /^_ZN4orte/ && !structor($3)) {print $3}' |
   sort -u >"$work/src"
 {
   find "$dir/bench" "$dir/examples" -maxdepth 1 -type f -perm -u+x

@@ -51,24 +51,12 @@ class Payload {
   [[nodiscard]] auto end() const { return bytes().end(); }
 
   /// True when both payloads share the same underlying buffer (zero-copy
-  /// check for tests/benches; byte equality is operator==).
+  /// check for tests/benches; compare bytes() for byte equality).
   [[nodiscard]] bool shares_buffer_with(const Payload& other) const {
     return data_ == other.data_;
   }
   /// Holders of the underlying buffer (diagnostics; 0 for the empty payload).
   [[nodiscard]] long use_count() const { return data_.use_count(); }
-
-  friend bool operator==(const Payload& a, const Payload& b) {
-    return a.bytes() == b.bytes();
-  }
-  friend bool operator==(const Payload& a,
-                         const std::vector<std::uint8_t>& b) {
-    return a.bytes() == b;
-  }
-  friend bool operator==(const std::vector<std::uint8_t>& a,
-                         const Payload& b) {
-    return a == b.bytes();
-  }
 
  private:
   std::shared_ptr<const std::vector<std::uint8_t>> data_;

@@ -20,7 +20,6 @@ inline constexpr Time kForever = INT64_MAX;
 
 // Literal-style helpers. Integer-only on purpose: fractional microseconds are
 // a common source of accumulated rounding drift in schedule tables.
-constexpr Duration nanoseconds(std::int64_t v) { return v; }
 constexpr Duration microseconds(std::int64_t v) { return v * 1'000; }
 constexpr Duration milliseconds(std::int64_t v) { return v * 1'000'000; }
 constexpr Duration seconds(std::int64_t v) { return v * 1'000'000'000; }

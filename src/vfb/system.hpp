@@ -93,13 +93,6 @@ class System {
   /// quarantine hook wired to this system's RTEs; callers attach escalation
   /// via monitors()->report_to(dem) / escalate_to(modes, ...).
   [[nodiscard]] rv::MonitorRegistry* monitors() { return registry_.get(); }
-  /// Watchdog manager supervising an ECU's contract heartbeats, or null —
-  /// built only when the plan sets alive_supervision (one per ECU hosting a
-  /// periodic guarantee; see DeploymentPlan::alive_supervision).
-  [[nodiscard]] bsw::WatchdogManager* watchdog(const std::string& ecu_name) {
-    const auto it = watchdogs_.find(ecu_name);
-    return it == watchdogs_.end() ? nullptr : it->second.get();
-  }
   /// Drop all future port writes of `instance` at its RTE (containment
   /// reaction; see Rte::quarantine). Safe for any deployed instance.
   void quarantine(const std::string& instance);
