@@ -1,73 +1,80 @@
 #include "analysis/holistic.hpp"
 
 #include <algorithm>
-#include <set>
-#include <stdexcept>
+#include <utility>
 
+#include "analysis/can_analysis.hpp"
 #include "analysis/flexray_analysis.hpp"
+#include "analysis/rta.hpp"
 
 namespace orte::analysis {
 
-void HolisticModel::add_task(DistTask task) {
-  if (!task_of_.try_emplace(task.name, tasks_.size()).second) {
-    throw std::invalid_argument("duplicate task " + task.name);
-  }
-  tasks_.push_back(std::move(task));
-}
+namespace {
+/// Bound on the fixpoint iterations; a set that has not converged by then is
+/// reported unschedulable.
+constexpr int kMaxIterations = 100;
+}  // namespace
 
-void HolisticModel::add_message(DistMessage message) {
-  (void)task(message.from_task);  // validation: throws on unknown
-  for (const auto& to : message.to_tasks) (void)task(to);
-  messages_.push_back(std::move(message));
-}
-
-void HolisticModel::add_dependency(std::string from_task, std::string to_task) {
-  (void)task(from_task);
-  (void)task(to_task);
-  dependencies_.push_back({std::move(from_task), std::move(to_task)});
-}
-
-const DistTask& HolisticModel::task(const std::string& name) const {
-  const auto it = task_of_.find(name);
-  if (it == task_of_.end()) throw std::invalid_argument("unknown task " + name);
-  return tasks_[it->second];
-}
-
-HolisticResult HolisticModel::analyze(const BusSpec& bus,
-                                      int max_iterations) const {
+HolisticResult analyze_holistic(const std::vector<DistTask>& tasks,
+                                const std::vector<DistMessage>& messages,
+                                const BusSpec& bus) {
+  using Source = DistTask::Source;
   HolisticResult result;
 
-  // Derive each task's effective period: chain heads carry their own; a
-  // triggered task inherits the period of the chain head feeding it
-  // (through messages and local dependency edges alike). Tasks that stay
-  // period-free are left out of everything below.
-  std::map<std::string, Duration>& period = result.period;
-  for (const auto& t : tasks_) {
-    if (t.period > 0) period[t.name] = t.period;
+  // Effective periods: chain heads carry their own; a released task inherits
+  // its source's, one hop per pass. Tasks left at 0 (nothing periodic
+  // releases them, e.g. a source cycle) are left out of everything below.
+  std::vector<Duration>& period = result.period;
+  period.reserve(tasks.size());
+  std::size_t ecus = 0;
+  for (const auto& t : tasks) {
+    period.push_back(t.source == Source::kNone ? std::max<Duration>(t.period, 0)
+                                               : 0);
+    ecus = std::max(ecus, t.ecu + 1);
   }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    const auto inherit = [&](const std::string& from, const std::string& to) {
-      const auto src = period.find(from);
-      if (src == period.end()) return;
-      // Min over all sources: with several triggering edges the smallest
-      // inter-arrival dominates, and the monotone-decreasing update
-      // terminates where a last-writer-wins rule could oscillate.
-      const auto [dst, fresh] = period.try_emplace(to, src->second);
-      if (fresh || src->second < dst->second) {
-        dst->second = src->second;
-        changed = true;
-      }
-    };
-    for (const auto& m : messages_) {
-      for (const auto& to : m.to_tasks) inherit(m.from_task, to);
-    }
-    for (const auto& d : dependencies_) inherit(d.from_task, d.to_task);
-  }
-  const auto analysed = [&period](const std::string& name) {
-    return period.count(name) != 0;
+  // The task whose period (and response) a released task inherits.
+  const auto upstream = [&](const DistTask& t) {
+    return t.source == Source::kTask ? t.from : messages[t.from].from_task;
   };
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (period[i] > 0 || tasks[i].source == Source::kNone) continue;
+      period[i] = period[upstream(tasks[i])];
+      changed = changed || period[i] > 0;
+    }
+  }
+  const auto analysed = [&period](std::size_t task) {
+    return period[task] > 0;
+  };
+
+  // The per-ECU task sets and the bus's message set are fixed; only their
+  // jitters change from one iteration to the next.
+  std::vector<std::vector<AnalysisTask>> local(ecus);
+  std::vector<std::vector<std::size_t>> members(ecus);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (!analysed(i)) continue;
+    const DistTask& t = tasks[i];
+    // Allow responses beyond the period during iteration; divergence is
+    // detected against the 4x-period cap below.
+    local[t.ecu].push_back({.name = t.name,
+                            .wcet = t.wcet,
+                            .period = period[i],
+                            .deadline = 4 * period[i],
+                            .priority = t.priority});
+    members[t.ecu].push_back(i);
+  }
+  std::vector<CanMessage> frames;
+  std::vector<std::size_t> sent;  ///< Message index of each frame.
+  for (std::size_t j = 0; j < messages.size(); ++j) {
+    const DistMessage& m = messages[j];
+    if (!analysed(m.from_task)) continue;
+    frames.push_back({.name = m.name,
+                      .id = m.id,
+                      .bytes = m.bytes,
+                      .period = period[m.from_task]});
+    sent.push_back(j);
+  }
 
   // FlexRay static segment: a write that just misses its slot waits one full
   // communication cycle, so every frame's bound is cycle + slot (delivery
@@ -76,91 +83,58 @@ HolisticResult HolisticModel::analyze(const BusSpec& bus,
       bus.use_flexray ? flexray_static_latency(bus.flexray).worst : 0;
 
   // Fixpoint: jitters start at 0 and grow monotonically.
-  std::map<std::string, Duration> task_jitter;
-  for (const auto& [name, p] : period) task_jitter[name] = 0;
-
-  for (int iter = 1; iter <= max_iterations; ++iter) {
+  std::vector<Duration> jitter(tasks.size(), 0);
+  std::vector<Duration> task_resp(tasks.size(), 0);
+  std::vector<Duration> msg_resp(messages.size(), 0);
+  for (int iter = 1; iter <= kMaxIterations; ++iter) {
     result.iterations = iter;
     // 1. Per-ECU task analysis with current jitters.
-    std::map<std::string, Duration> task_resp;
-    std::set<std::string> ecus;
-    for (const auto& t : tasks_) ecus.insert(t.ecu);
     bool all_ok = true;
-    for (const auto& ecu : ecus) {
-      std::vector<AnalysisTask> local;
-      for (const auto& t : tasks_) {
-        if (t.ecu != ecu || !analysed(t.name)) continue;
-        AnalysisTask a;
-        a.name = t.name;
-        a.wcet = t.wcet;
-        a.period = period.at(t.name);
-        // Allow responses beyond the period during iteration; divergence is
-        // detected against the 4x-period cap below.
-        a.deadline = 4 * a.period;
-        a.jitter = task_jitter.at(t.name);
-        a.priority = t.priority;
-        local.push_back(a);
+    for (std::size_t e = 0; e < ecus; ++e) {
+      for (std::size_t k = 0; k < local[e].size(); ++k) {
+        local[e][k].jitter = jitter[members[e][k]];
       }
-      for (const auto& a : local) {
-        const auto r = response_time(a, local);
+      for (std::size_t k = 0; k < local[e].size(); ++k) {
+        const auto r = response_time(local[e][k], local[e]);
         if (!r.has_value()) {
           all_ok = false;
           continue;
         }
-        task_resp[a.name] = *r;
+        task_resp[members[e][k]] = *r;
       }
     }
     if (!all_ok) return result;  // schedulable stays false
 
     // 2. Bus analysis with message jitter = sender response, so the message
     // response R = J + w + C carries the whole upstream chain.
-    std::map<std::string, Duration> msg_resp;
-    if (bus.use_flexray) {
-      for (const auto& m : messages_) {
-        if (!analysed(m.from_task)) continue;
-        msg_resp[m.name] = task_resp.at(m.from_task) + flexray_delay;
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      frames[f].jitter = task_resp[messages[sent[f]].from_task];
+    }
+    for (std::size_t f = 0; f < frames.size(); ++f) {
+      if (bus.use_flexray) {
+        msg_resp[sent[f]] = frames[f].jitter + flexray_delay;
+        continue;
       }
-    } else {
-      std::vector<CanMessage> canbus;
-      for (const auto& m : messages_) {
-        if (!analysed(m.from_task)) continue;
-        CanMessage c;
-        c.name = m.name;
-        c.id = m.id;
-        c.bytes = m.bytes;
-        c.period = period.at(m.from_task);
-        c.jitter = task_resp.at(m.from_task);
-        canbus.push_back(c);
-      }
-      for (const auto& c : canbus) {
-        const auto r = can_response_time(c, canbus, bus.can_bitrate_bps);
-        if (!r.has_value()) return result;
-        msg_resp[c.name] = *r;
-      }
+      const auto r = can_response_time(frames[f], frames, bus.can_bitrate_bps);
+      if (!r.has_value()) return result;
+      msg_resp[sent[f]] = *r;
     }
 
-    // 3. Propagate: a triggered task inherits the worst incoming response
-    // (message delivery or local producer completion) as release jitter.
-    std::map<std::string, Duration> next_jitter;
-    for (const auto& [name, p] : period) next_jitter[name] = 0;
-    for (const auto& m : messages_) {
-      const auto r = msg_resp.find(m.name);
-      if (r == msg_resp.end()) continue;
-      for (const auto& to : m.to_tasks) {
-        next_jitter[to] = std::max(next_jitter.at(to), r->second);
-      }
+    // 3. Propagate: a released task inherits its source's response (message
+    // delivery or local producer completion) as release jitter.
+    bool stable = true;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const DistTask& t = tasks[i];
+      if (!analysed(i) || t.source == Source::kNone) continue;
+      const Duration next =
+          t.source == Source::kTask ? task_resp[t.from] : msg_resp[t.from];
+      stable = stable && next == jitter[i];
+      jitter[i] = next;
     }
-    for (const auto& d : dependencies_) {
-      if (!analysed(d.from_task)) continue;
-      next_jitter[d.to_task] =
-          std::max(next_jitter.at(d.to_task), task_resp.at(d.from_task));
-    }
-    const bool stable = next_jitter == task_jitter;
-    task_jitter = next_jitter;
 
     // Divergence guard: any response beyond 4 periods = hopeless.
-    for (const auto& [name, r] : task_resp) {
-      if (r > 4 * period.at(name)) return result;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (task_resp[i] > 4 * period[i]) return result;
     }
 
     if (stable) {
@@ -168,14 +142,11 @@ HolisticResult HolisticModel::analyze(const BusSpec& bus,
       // period — the iteration deliberately tolerated larger intermediate
       // values, but R > T is unschedulable under this single-busy-period
       // analysis.
-      for (const auto& [name, r] : task_resp) {
-        if (r > period.at(name)) return result;
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        if (task_resp[i] > period[i]) return result;
       }
-      for (const auto& m : messages_) {
-        const auto r = msg_resp.find(m.name);
-        if (r != msg_resp.end() && r->second > period.at(m.from_task)) {
-          return result;
-        }
+      for (const std::size_t j : sent) {
+        if (msg_resp[j] > period[messages[j].from_task]) return result;
       }
       result.schedulable = true;
       result.task_response = std::move(task_resp);
@@ -183,7 +154,7 @@ HolisticResult HolisticModel::analyze(const BusSpec& bus,
       return result;
     }
   }
-  return result;  // did not converge within max_iterations
+  return result;  // did not converge within kMaxIterations
 }
 
 }  // namespace orte::analysis

@@ -5,46 +5,56 @@
 // bounds exactly the chains the runtime LatencyMonitors watch.
 //
 // Transactions are chains  task -> message -> task(s) -> ...  spanning ECUs,
-// plus  task -> task  dependency edges for data-received activations that
-// stay on one ECU (no bus hop, the consumer is released by the producer's
-// write). One message may activate several tasks: a broadcast frame feeds
-// every consumer of its payload. Release jitter is inherited along the
-// chain (a message inherits the sending task's response time as jitter; a
-// receiving task inherits the message's response time; a dependent task
-// inherits the producer's response time directly), which couples all
-// node-local analyses; the coupled system is solved by fixpoint iteration.
-// Responses are monotone in jitter, so the iteration converges or provably
-// diverges past a deadline. Tasks are indexed by name.
+// plus  task -> task  edges for data-received activations that stay on one
+// ECU (no bus hop, the consumer is released by the producer's write). Tasks
+// and messages are addressed by their index in the vectors passed in. A
+// chain head carries its own period; every other task names its one release
+// source, a task or a message, and inherits that source's period. One
+// message may release several tasks (a broadcast frame feeds every consumer
+// of its payload), but no task has two sources: superposed activations
+// arrive more often than either source, which this model does not bound.
+// Release jitter is inherited along the chain (a message inherits the
+// sending task's response time as jitter; a released task inherits its
+// source's response), which couples all node-local analyses; the coupled
+// system is solved by fixpoint iteration. Responses are monotone in jitter,
+// so the iteration converges or provably diverges past a deadline.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "analysis/can_analysis.hpp"
-#include "analysis/rta.hpp"
 #include "flexray/flexray_bus.hpp"
 #include "sim/time.hpp"
 
 namespace orte::analysis {
 
+using sim::Duration;
+
 struct DistTask {
+  /// What releases a task: nothing (a chain head, or a task left out when it
+  /// has no period either), a task of its ECU, or a message.
+  enum class Source { kNone, kTask, kMessage };
+
+  /// Keeps the task out of its own interference in the per-ECU analysis.
   std::string name;
-  std::string ecu;
+  std::size_t ecu = 0;  ///< Dense ECU index: equal indices share a CPU.
   Duration wcet = 0;
-  Duration period = 0;  ///< For chain heads; inherited for triggered tasks.
+  Duration period = 0;  ///< Chain heads only: a released task inherits.
   int priority = 0;     ///< Per-ECU priority (higher = more urgent).
+  Source source = Source::kNone;
+  std::size_t from = 0;  ///< Index of the source task or message.
 };
 
 struct DistMessage {
+  /// Tells apart the frames of one PDU, which share `id`.
   std::string name;
   /// CAN identifier (lower = higher priority). Messages sharing one are
   /// frames of one PDU, queued FIFO in one controller.
   std::uint32_t id = 0;
   std::size_t bytes = 8;
-  std::string from_task;
-  /// Tasks every delivered frame activates; empty = pure bus load.
-  std::vector<std::string> to_tasks;
+  std::size_t from_task = 0;  ///< Index of the sending task.
 };
 
 /// Bus model used by the fixpoint. The default is CAN (the paper's primary
@@ -60,49 +70,23 @@ struct BusSpec {
 struct HolisticResult {
   bool schedulable = false;
   int iterations = 0;
-  /// Effective period of every analysed task: chain heads carry their own,
-  /// a triggered task inherits the smallest period feeding it. A task
-  /// without one (an event task nothing activates) is left out of the
-  /// analysis, and so are the messages it sends.
-  std::map<std::string, Duration> period;
-  /// Worst-case responses when schedulable, measured from the chain head's
-  /// release: a stage's response includes its inherited jitter, which
-  /// carries the whole upstream chain, so a chain's end-to-end latency is
-  /// its tail's response.
-  std::map<std::string, Duration> task_response;
-  std::map<std::string, Duration> message_response;
+  /// Effective period per task: a chain head's own, a released task's
+  /// source's. 0 leaves the task out of the analysis (an event task nothing
+  /// periodic releases), and with it the messages it sends.
+  std::vector<Duration> period;
+  /// Worst-case responses per task and per message when schedulable (empty
+  /// otherwise), 0 for what is left out. They are measured from the chain
+  /// head's release: a stage's response includes its inherited jitter,
+  /// which carries the whole upstream chain, so a chain's end-to-end latency
+  /// is its tail's response.
+  std::vector<Duration> task_response;
+  std::vector<Duration> message_response;
 };
 
-class HolisticModel {
- public:
-  void add_task(DistTask task);
-  /// Adds a message and marks its `to_tasks` as triggered by it (each
-  /// receiver inherits period and jitter through the chain).
-  void add_message(DistMessage message);
-  /// Adds a local activation edge: `to_task` is released directly by
-  /// `from_task` (same-ECU data-received pipeline, no bus hop). The
-  /// dependent task inherits the producer's period and its response time as
-  /// release jitter.
-  void add_dependency(std::string from_task, std::string to_task);
-
-  /// Run the fixpoint iteration over `bus` (CAN or FlexRay static segment).
-  /// `max_iterations` bounds the fixpoint; responses beyond 4x period are
-  /// declared divergent.
-  [[nodiscard]] HolisticResult analyze(const BusSpec& bus,
-                                       int max_iterations = 100) const;
-
- private:
-  struct Dependency {
-    std::string from_task;
-    std::string to_task;
-  };
-
-  std::vector<DistTask> tasks_;
-  std::map<std::string, std::size_t> task_of_;  ///< Name -> index in tasks_.
-  std::vector<DistMessage> messages_;
-  std::vector<Dependency> dependencies_;
-
-  [[nodiscard]] const DistTask& task(const std::string& name) const;
-};
+/// Run the fixpoint iteration over `bus` (CAN or FlexRay static segment).
+/// Responses beyond 4x period are declared divergent.
+[[nodiscard]] HolisticResult analyze_holistic(
+    const std::vector<DistTask>& tasks,
+    const std::vector<DistMessage>& messages, const BusSpec& bus);
 
 }  // namespace orte::analysis
