@@ -303,11 +303,22 @@ class Lowerer {
 
   /// Signals from the same sender ECU with the same writer period share a
   /// frame (period-grouped FFD): every frame pays header and stuffing
-  /// overhead once for up to 64 payload bits. Frame ids follow
-  /// rate-monotonic order on CAN; FlexRay gets dedicated static slots.
+  /// overhead once for up to 64 payload bits. A signal that releases an
+  /// event task rides alone: a received PDU notifies every signal it
+  /// carries, so in a shared PDU each neighbour's write would release the
+  /// task again, which V9 does not count. Per ECU and period the own PDUs
+  /// come first, in signal order. Frame ids follow rate-monotonic order on
+  /// CAN; FlexRay gets dedicated static slots.
   void pack_pdus() {
-    std::map<std::pair<std::string, sim::Duration>, std::vector<std::size_t>>
-        groups;
+    std::set<std::string_view> triggers;
+    for (const auto& [ecu, tasks] : tasks_of_) {
+      for (const auto& t : tasks.events) triggers.insert(t.trigger_key);
+    }
+    struct Group {
+      std::vector<std::size_t> own;
+      std::vector<std::size_t> shared;
+    };
+    std::map<std::pair<std::string, sim::Duration>, Group> groups;
     for (std::size_t i = 0; i < out_.signals.size(); ++i) {
       const LoweredSignal& s = out_.signals[i];
       if (s.element->bit_length == 0 || s.element->bit_length > 64) {
@@ -316,12 +327,25 @@ class Lowerer {
                     std::to_string(s.element->bit_length) + " bits)");
         continue;
       }
-      groups[{s.sender_ecu, s.sort_period}].push_back(i);
+      const bool own = std::any_of(
+          s.receivers.begin(), s.receivers.end(),
+          [&](const auto& r) { return triggers.count(r.second) != 0; });
+      Group& group = groups[{s.sender_ecu, s.sort_period}];
+      (own ? group.own : group.shared).push_back(i);
     }
     for (const auto& [key, group] : groups) {
       const auto& [ecu, period] = key;
+      const std::string prefix =
+          "pdu|" + ecu + "|" +
+          std::to_string(period == sim::kForever ? -1 : period) + "|";
+      std::size_t n = 0;
+      for (const std::size_t i : group.own) {
+        out_.pdus.push_back({prefix + std::to_string(n++), ecu, period, 0,
+                             (out_.signals[i].element->bit_length + 7) / 8,
+                             {{i, 0}}});
+      }
       std::vector<analysis::PackSignal> pack_in;
-      for (const std::size_t i : group) {
+      for (const std::size_t i : group.shared) {
         // pack_signals needs a positive period and a bitrate only for its
         // (unused) utilization figure: event-produced signals (kForever)
         // get a placeholder.
@@ -331,16 +355,12 @@ class Lowerer {
       }
       const auto packed = analysis::pack_signals(
           pack_in, 64, std::max<std::int64_t>(plan_.can.bitrate_bps, 1));
-      for (std::size_t fi = 0; fi < packed.frames.size(); ++fi) {
-        const auto& frame = packed.frames[fi];
-        LoweredPdu pdu{"pdu|" + ecu + "|" +
-                           std::to_string(period == sim::kForever ? -1
-                                                                  : period) +
-                           "|" + std::to_string(fi),
-                       ecu, period, 0, (frame.used_bits + 7) / 8, {}};
+      for (const auto& frame : packed.frames) {
+        LoweredPdu pdu{prefix + std::to_string(n++), ecu, period, 0,
+                       (frame.used_bits + 7) / 8, {}};
         for (std::size_t si = 0; si < frame.signals.size(); ++si) {
           const auto it = std::find_if(
-              group.begin(), group.end(), [&](std::size_t i) {
+              group.shared.begin(), group.shared.end(), [&](std::size_t i) {
                 return out_.signals[i].name == frame.signals[si];
               });
           pdu.signals.emplace_back(*it, frame.offsets[si]);
