@@ -25,11 +25,11 @@ LinBus::LinBus(sim::Kernel& kernel, sim::Trace& trace, LinConfig cfg)
     : kernel_(kernel),
       trace_(trace),
       cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.bitrate_bps),
       responses_(kMaxFrameId + 1) {
   if (cfg_.bitrate_bps <= 0) {
     throw std::invalid_argument("LIN bitrate must be positive");
   }
+  bit_time_ = 1'000'000'000 / cfg_.bitrate_bps;
 }
 
 LinNode& LinBus::attach(std::string name) {

@@ -95,7 +95,7 @@ class LinBus {
   sim::Kernel& kernel_;
   sim::Trace& trace_;
   LinConfig cfg_;
-  Duration bit_time_;
+  Duration bit_time_ = 0;  ///< Set once the rate is checked.
   std::vector<std::unique_ptr<LinNode>> nodes_;
   std::vector<LinScheduleEntry> schedule_;
   /// Response buffer per frame id (published data waiting for the poll).

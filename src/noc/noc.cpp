@@ -26,13 +26,11 @@ void NetworkInterface::send(NocMessage msg) {
 }
 
 Noc::Noc(sim::Kernel& kernel, sim::Trace& trace, NocConfig cfg)
-    : kernel_(kernel),
-      trace_(trace),
-      cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.link_bandwidth_bps) {
+    : kernel_(kernel), trace_(trace), cfg_(std::move(cfg)) {
   if (cfg_.link_bandwidth_bps <= 0 || cfg_.slot_len <= 0) {
     throw std::invalid_argument("NoC config invalid");
   }
+  bit_time_ = 1'000'000'000 / cfg_.link_bandwidth_bps;
 }
 
 NetworkInterface& Noc::attach(std::string core_name) {

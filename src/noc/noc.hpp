@@ -139,7 +139,7 @@ class Noc {
   sim::Kernel& kernel_;
   sim::Trace& trace_;
   NocConfig cfg_;
-  Duration bit_time_;
+  Duration bit_time_ = 0;  ///< Set once the rate is checked.
   std::vector<std::unique_ptr<NetworkInterface>> interfaces_;
   bool started_ = false;
   bool link_busy_ = false;  ///< FCFS mode only.

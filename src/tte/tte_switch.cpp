@@ -14,13 +14,11 @@ void TteEndpoint::send(std::uint32_t flow, std::vector<std::uint8_t> payload) {
 }
 
 TteSwitch::TteSwitch(sim::Kernel& kernel, sim::Trace& trace, TteConfig cfg)
-    : kernel_(kernel),
-      trace_(trace),
-      cfg_(std::move(cfg)),
-      bit_time_(1'000'000'000 / cfg_.link_bandwidth_bps) {
+    : kernel_(kernel), trace_(trace), cfg_(std::move(cfg)) {
   if (cfg_.link_bandwidth_bps <= 0) {
     throw std::invalid_argument("TTE link bandwidth must be positive");
   }
+  bit_time_ = 1'000'000'000 / cfg_.link_bandwidth_bps;
 }
 
 TteEndpoint& TteSwitch::attach(std::string name) {

@@ -125,7 +125,7 @@ class TteSwitch {
   sim::Kernel& kernel_;
   sim::Trace& trace_;
   TteConfig cfg_;
-  Duration bit_time_;
+  Duration bit_time_ = 0;  ///< Set once the rate is checked.
   std::vector<std::unique_ptr<TteEndpoint>> endpoints_;
   std::vector<TteFlow> flows_;
   std::vector<Egress> egress_;

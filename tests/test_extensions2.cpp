@@ -223,6 +223,8 @@ TEST(Lin, ConfigurationErrorsRejected) {
   EXPECT_THROW(f.mirror.send(lin_frame(0x10, {1, 2})), std::logic_error);
   EXPECT_THROW(f.bus.set_schedule({{.frame_id = 0x90}}),
                std::invalid_argument);
+  EXPECT_THROW(lin::LinBus(f.kernel, f.trace, {.bitrate_bps = 0}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -39,6 +39,16 @@ NocMessage msg(int dst, std::size_t bytes, std::string name = "m") {
   return m;
 }
 
+TEST(Noc, InvalidConfigRejected) {
+  Fixture f;
+  NocConfig zero_bandwidth = config(Arbitration::kTdma);
+  zero_bandwidth.link_bandwidth_bps = 0;
+  EXPECT_THROW(Noc(f.kernel, f.trace, zero_bandwidth), std::invalid_argument);
+  NocConfig no_slot = config(Arbitration::kTdma);
+  no_slot.slot_len = 0;
+  EXPECT_THROW(Noc(f.kernel, f.trace, no_slot), std::invalid_argument);
+}
+
 TEST(Noc, TdmaDeliversWithinOwnSlot) {
   Fixture f;
   Noc noc(f.kernel, f.trace, config(Arbitration::kTdma));

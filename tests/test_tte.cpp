@@ -115,6 +115,8 @@ TEST(Tte, ConfigurationErrorsRejected) {
   EXPECT_THROW(f.sw.add_flow({.id = 1, .cls = TrafficClass::kBestEffort,
                               .source = 0, .destination = 1}),
                std::invalid_argument);
+  EXPECT_THROW(TteSwitch(f.kernel, f.trace, {.link_bandwidth_bps = 0}),
+               std::invalid_argument);
 }
 
 TEST(Tte, WrongSenderRejected) {
