@@ -133,8 +133,7 @@ void Kernel::cancel(EventHandle handle) {
 }
 
 Time Kernel::run_until(Time horizon) {
-  stopped_ = false;
-  while (!stopped_) {
+  while (true) {
     if (queue_.empty()) {
       if (wheel_count_ == 0 || wheel_min_ > horizon) break;
       flush_wheel(wheel_min_);
@@ -177,7 +176,7 @@ Time Kernel::run_until(Time horizon) {
       action();
     }
   }
-  if (!stopped_ && now_ < horizon && horizon != kForever) now_ = horizon;
+  if (now_ < horizon && horizon != kForever) now_ = horizon;
   return now_;
 }
 

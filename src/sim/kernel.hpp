@@ -119,9 +119,6 @@ class Kernel {
   /// final simulated time.
   Time run_until(Time horizon);
 
-  /// Request the run loop to stop after the current event.
-  void stop() { stopped_ = true; }
-
   /// Number of events executed so far (diagnostics / perf counters).
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
@@ -185,7 +182,6 @@ class Kernel {
   std::uint64_t peak_depth_ = 0;
   std::uint64_t wheel_scheduled_ = 0;
   std::uint64_t wheel_flushed_ = 0;
-  bool stopped_ = false;
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t slot);

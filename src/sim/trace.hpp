@@ -12,8 +12,7 @@
 // transparent hash lookup each and forwards to it. Listeners and records
 // carry the IDs so downstream consumers (rv::MonitorRegistry,
 // isolation::ContainmentMonitor) route and compare integers, never strings.
-// IDs are stable for the lifetime of the Trace — clear() resets counts and
-// records but keeps the intern tables.
+// IDs are stable for the lifetime of the Trace.
 #pragma once
 
 #include <algorithm>
@@ -138,8 +137,7 @@ class Trace {
 
   // --- Counting -------------------------------------------------------------
 
-  /// Emissions in `category` since construction / the last clear(),
-  /// independent of retention.
+  /// Emissions in `category` since construction, independent of retention.
   [[nodiscard]] std::size_t count(std::string_view category) const {
     return count(categories_.find(category));
   }
@@ -195,28 +193,11 @@ class Trace {
     return out;
   }
 
-  /// Drops retained records AND resets the count indexes (counts always
-  /// describe the same window as records() when retention is on). Intern
-  /// IDs survive: a (category, subject) keeps its IDs across clear(), so
-  /// observers holding resolved IDs stay valid.
-  void clear() {
-    // Guard against silent index drift: whenever the retained records are
-    // a complete history of the window, the ID-indexed counts must agree
-    // with a string-keyed recount of them.
-    assert(!records_complete_ || counts_match_records());
-    records_.clear();
-    category_counts_.assign(category_counts_.size(), 0);
-    for (auto& row : subject_counts_) row.assign(row.size(), 0);
-    for (auto& bucket : category_subjects_) bucket.clear();
-    records_complete_ = true;
-  }
-
   /// Consistency test hook: recount the retained records by their strings
   /// and compare against the ID-indexed counts. Only meaningful when
-  /// retention has been on since construction / the last clear() (otherwise
-  /// counts legitimately exceed the recount); callers can check
-  /// records_complete() first. Used by the debug assertion in clear() and
-  /// by the index-drift regression tests.
+  /// retention has been on since construction (otherwise counts
+  /// legitimately exceed the recount); callers can check records_complete()
+  /// first. Used by the index-drift regression tests.
   [[nodiscard]] bool counts_match_records() const {
     std::vector<std::size_t> cat_recount(category_counts_.size(), 0);
     std::vector<std::vector<std::size_t>> row_recount(subject_counts_.size());
@@ -254,7 +235,7 @@ class Trace {
   }
 
   /// True while the retained records cover every emission since
-  /// construction / the last clear() (retention never off during an emit).
+  /// construction (retention never off during an emit).
   [[nodiscard]] bool records_complete() const { return records_complete_; }
 
  private:
