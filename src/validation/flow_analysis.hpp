@@ -10,7 +10,7 @@
 //                                unconstrained transitive sources that no
 //                                pairwise check can see.
 //  V9  end-to-end deadlines    — the holistic fixpoint (analysis::
-//                                HolisticModel) over the lowered tasks,
+//                                analyze_holistic) over the lowered tasks,
 //                                including data-received event tasks, and
 //                                the generated PDU frames on CAN or FlexRay;
 //                                each latency assumption is compared against
@@ -100,12 +100,15 @@ struct ChainAnalysis {
     const vfb::Lowering& lowering, const std::vector<std::string_view>& seeds,
     bool forward);
 
-/// Fold the lowered deployment into the holistic fixpoint: every task; one
-/// message per signal, carrying its PDU's frame id and length (COM signals
-/// are triggered, so each write sends the whole PDU once) and activating the
-/// event tasks of all its receivers; one local dependency per same-ECU
-/// activation. FlexRay frames are bounded by the cycle the lowering
-/// configures. A bus bitrate that is not positive yields an empty analysis.
+/// Run the holistic fixpoint on the lowered deployment: analysis task i is
+/// `lowering.tasks[i]`; message j is the j-th written signal in PDU order,
+/// carrying its PDU's frame id and length (COM signals are triggered, so
+/// each write sends the whole PDU once). An event task is released by the
+/// writer's task of a same-ECU edge or by the message of the signal that
+/// feeds its trigger; a task fed from two sources (a required port fed
+/// twice, V2's error) is left out, since the analysis does not combine
+/// sources. FlexRay frames are bounded by the cycle the lowering configures.
+/// A bus bitrate that is not positive yields an empty analysis.
 [[nodiscard]] ChainAnalysis analyze_chains(
     const vfb::Lowering& lowering,
     const std::map<std::string, contracts::Contract, std::less<>>& contracts);
