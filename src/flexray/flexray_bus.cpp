@@ -92,7 +92,14 @@ void FlexRayBus::submit_static(Frame frame) {
   if (slot_owner_[frame.id] != frame.source) {
     throw std::logic_error("node writes a static slot it does not own");
   }
-  slot_buffer_[frame.id] = std::move(frame);  // overwrite: state semantics
+  const std::size_t slot = frame.id;
+  slot_buffer_[slot] = std::move(frame);  // overwrite: state semantics
+  // Strictly after now: a write at the slot's start instant comes after the
+  // slot opened (kHardware runs first), so it waits a cycle.
+  if (slot < armed_slot_ && slot_start(slot) > kernel_.now()) {
+    kernel_.cancel(armed_);
+    arm(slot, slot_start(slot));
+  }
 }
 
 void FlexRayBus::submit_dynamic(Frame frame) {
@@ -106,40 +113,71 @@ void FlexRayBus::submit_dynamic(Frame frame) {
                 dynamic_queue_.back().id);
     dynamic_queue_.pop_back();  // shed the lowest-priority frame
   }
+  const std::size_t segment = cfg_.static_slots + 1;
+  if (armed_slot_ == segment + 1 && slot_start(segment) > kernel_.now()) {
+    kernel_.cancel(armed_);
+    arm(segment, slot_start(segment));
+  }
 }
 
 void FlexRayBus::begin_cycle() {
+  if (cycle_category_ == sim::kNoTraceId) {
+    cycle_category_ = trace_.intern_category("fr.cycle");
+    name_subject_ = trace_.intern_subject(cfg_.name);
+  }
+  cycle_start_ = kernel_.now();
   ++cycle_count_;
-  trace_.emit(kernel_.now(), "fr.cycle", cfg_.name,
+  trace_.emit(kernel_.now(), cycle_category_, name_subject_,
               static_cast<std::int64_t>(cycle_count_));
   run_static_slot(1);
 }
 
+void FlexRayBus::arm(std::size_t slot, Time when) {
+  armed_slot_ = slot;
+  armed_ = kernel_.schedule_at(
+      when,
+      [this, slot] {
+        armed_slot_ = 0;
+        if (slot > cfg_.static_slots + 1) {
+          begin_cycle();
+        } else {
+          run_static_slot(slot);
+        }
+      },
+      sim::EventOrder::kHardware);
+}
+
 void FlexRayBus::run_static_slot(std::size_t index) {
-  if (index > cfg_.static_slots) {
+  const std::size_t segment = cfg_.static_slots + 1;
+  while (index < segment && !slot_buffer_[index].has_value()) ++index;
+  if (index == segment && dynamic_queue_.empty()) {
+    arm(segment + 1, cycle_start_ + cycle_len_);  // sleep to the next cycle
+    return;
+  }
+  if (slot_start(index) > kernel_.now()) {
+    arm(index, slot_start(index));
+    return;
+  }
+  if (index == segment) {
     begin_dynamic_segment();
     return;
   }
   const Time slot_end = kernel_.now() + static_slot_len_;
-  if (slot_buffer_[index].has_value()) {
-    Frame frame = std::move(*slot_buffer_[index]);
-    slot_buffer_[index].reset();
-    frame.sent_at = kernel_.now();
-    stats_.record_queueing_delay(kernel_.now() - frame.enqueued_at);
-    trace_.emit(kernel_.now(), "fr.static_tx", frame.name, frame.id);
-    kernel_.schedule_at(
-        slot_end,
-        [this, frame = std::move(frame), index]() mutable {
-          stats_.record_tx(frame.sent_at, kernel_.now(), true);
-          deliver(std::move(frame));
-          run_static_slot(index + 1);
-        },
-        sim::EventOrder::kHardware);
-  } else {
-    kernel_.schedule_at(
-        slot_end, [this, index] { run_static_slot(index + 1); },
-        sim::EventOrder::kHardware);
-  }
+  Frame frame = std::move(*slot_buffer_[index]);
+  slot_buffer_[index].reset();
+  frame.sent_at = kernel_.now();
+  stats_.record_queueing_delay(kernel_.now() - frame.enqueued_at);
+  trace_.emit(kernel_.now(), "fr.static_tx", frame.name, frame.id);
+  // Deliver first, then look for the next slot: a frame the delivery
+  // produces is still seen by a slot that starts at this slot's end.
+  kernel_.schedule_at(
+      slot_end,
+      [this, frame = std::move(frame), index]() mutable {
+        stats_.record_tx(frame.sent_at, kernel_.now(), true);
+        deliver(std::move(frame));
+        run_static_slot(index + 1);
+      },
+      sim::EventOrder::kHardware);
 }
 
 void FlexRayBus::begin_dynamic_segment() {
@@ -148,7 +186,6 @@ void FlexRayBus::begin_dynamic_segment() {
   // before the segment ends. Frames that do not fit wait for the next cycle.
   const Time segment_end = kernel_.now() + dynamic_len_;
   Time cursor = kernel_.now();
-  std::deque<Frame> deferred;
   while (!dynamic_queue_.empty()) {
     Frame frame = std::move(dynamic_queue_.front());
     dynamic_queue_.pop_front();
@@ -161,7 +198,7 @@ void FlexRayBus::begin_dynamic_segment() {
     const Duration needed = needed_minislots * cfg_.minislot_len;
     if (cursor + needed > segment_end) {
       ++dynamic_deferrals_;
-      deferred.push_back(std::move(frame));
+      deferred_.push_back(std::move(frame));
       continue;
     }
     frame.sent_at = cursor;
@@ -177,8 +214,9 @@ void FlexRayBus::begin_dynamic_segment() {
         sim::EventOrder::kHardware);
     cursor = done;
   }
-  dynamic_queue_ = std::move(deferred);
-  // Next cycle after dynamic segment + network idle time.
+  dynamic_queue_.swap(deferred_);  // the drained queue is the next deferred_
+  // Next cycle after dynamic segment + network idle time. No write can pull
+  // it earlier, so it is not armed_.
   kernel_.schedule_at(segment_end + cfg_.network_idle,
                       [this] { begin_cycle(); }, sim::EventOrder::kHardware);
 }

@@ -6,6 +6,17 @@
 // transmits only if enough minislots remain in this cycle) + network idle
 // time. This is the time-triggered comparator in experiments E1/E3 and the
 // backbone of the brake-by-wire example.
+//
+// Sparse arming: the schedule says in advance which slots are idle, so the
+// bus keeps at most one armed kernel event, at the next instant where it has
+// work: the start of the next occupied static slot, else the start of the
+// dynamic segment when its queue is non-empty, else the start of the next
+// cycle. A write whose slot (or segment) starts strictly after now() in the
+// current cycle pulls that event earlier. A write at exactly a slot's start
+// instant misses the slot, as a bus that opened every slot would: the slot
+// opens at EventOrder::kHardware, before any software event at that
+// instant. An idle cycle costs one kernel event, so a run costs
+// O(frames + cycles) events instead of O(static slots x cycles).
 #pragma once
 
 #include <cstdint>
@@ -95,9 +106,20 @@ class FlexRayBus {
   void submit_static(Frame frame);
   void submit_dynamic(Frame frame);
   void begin_cycle();
+  /// Transmit the first occupied static slot from `index` on if it starts
+  /// now; otherwise arm the next instant with work (see the header comment).
   void run_static_slot(std::size_t index);
   void begin_dynamic_segment();
   void deliver(Frame frame);
+  /// Start of static slot `index` (1-based) in the current cycle; index
+  /// static_slots + 1 is the start of the dynamic segment.
+  [[nodiscard]] Time slot_start(std::size_t index) const {
+    return cycle_start_ +
+           static_cast<Duration>(index - 1) * static_slot_len_;
+  }
+  /// Arm the one kernel event at `when`: run_static_slot(slot), or
+  /// begin_cycle() for slot static_slots + 2.
+  void arm(std::size_t slot, Time when);
 
   sim::Kernel& kernel_;
   sim::Trace& trace_;
@@ -114,6 +136,21 @@ class FlexRayBus {
   std::vector<std::optional<Frame>> slot_buffer_;
   /// Pending dynamic frames, sorted ascending by id.
   std::deque<Frame> dynamic_queue_;
+  /// Frames a dynamic segment defers; kept empty between segments and
+  /// swapped with dynamic_queue_, so no cycle builds a deque.
+  std::deque<Frame> deferred_;
+
+  Time cycle_start_ = 0;
+  /// The one armed kernel event and what it opens: a static slot (1-based),
+  /// static_slots + 1 for the dynamic segment, static_slots + 2 for the next
+  /// cycle. 0 while a slot transmits, after the dynamic segment began, and
+  /// before the first cycle: no write can pull the event earlier then.
+  sim::EventHandle armed_;
+  std::size_t armed_slot_ = 0;
+  /// "fr.cycle" and the bus name, interned at the first cycle (where the
+  /// string emit interned them, so every TraceId keeps its number).
+  sim::TraceId cycle_category_ = sim::kNoTraceId;
+  sim::TraceId name_subject_ = sim::kNoTraceId;
 
   net::BusStats stats_;
   net::FaultHook fault_hook_;
