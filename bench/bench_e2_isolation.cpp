@@ -13,7 +13,6 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "isolation/monitor.hpp"
 #include "os/ecu.hpp"
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"

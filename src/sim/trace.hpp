@@ -5,17 +5,15 @@
 // Category and subject strings are interned into dense integer TraceIds, so
 // the hot path is allocation-free and O(1). Emitters that fire per job
 // (os::Ecu, vfb::Rte) intern their names once at construction and call the
-// ID overload of emit(), which hashes nothing: it bumps a per-category
-// counter and one cell of that category's count row (indexed by subject
-// ID), notifies the ID listeners, and only builds a TraceRecord when
+// ID overload of emit(), which hashes nothing: it bumps the category's
+// counter, notifies the ID listeners, and only builds a TraceRecord when
 // retention is on. The string overload interns both names with one
-// transparent hash lookup each and forwards to it. Listeners and records
-// carry the IDs so downstream consumers (rv::MonitorRegistry,
-// isolation::ContainmentMonitor) route and compare integers, never strings.
-// IDs are stable for the lifetime of the Trace.
+// transparent hash lookup each and forwards to it. Listeners get the IDs,
+// so downstream consumers (rv::MonitorRegistry) route and compare integers,
+// never strings; per-subject state is theirs to keep. IDs are stable for
+// the lifetime of the Trace.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -42,8 +40,6 @@ struct TraceRecord {
   std::string subject;   // task/frame/node name
   std::int64_t value = 0;
   std::string detail;
-  TraceId category_id = kNoTraceId;  ///< Intern ID of `category`.
-  TraceId subject_id = kNoTraceId;   ///< Intern ID of `subject`.
 };
 
 /// Allocation-free view of one emission, delivered to listeners
@@ -77,24 +73,21 @@ class Trace {
   void emit(Time when, TraceId category, TraceId subject,
             std::int64_t value = 0, std::string_view detail = {}) {
     assert(category < categories_.size() && subject < subjects_.size());
-    bump(category, subject);
+    if (category >= category_counts_.size()) {
+      category_counts_.resize(category + 1, 0);
+    }
+    ++category_counts_[category];
     // Listeners see IDs only: with retention off, an emit costs the count
-    // bumps and this loop — no string is assigned or copied anywhere.
+    // bump and this loop — no string is assigned or copied anywhere.
     if (!id_listeners_.empty()) {
       const TraceEvent ev{when, category, subject, value, detail};
       for (const auto& l : id_listeners_) l(ev);
     }
-    if (!retain_) {
-      records_complete_ = false;
-      return;
-    }
+    if (!retain_) return;
     records_.push_back(TraceRecord{when,
                                    std::string(categories_.name(category)),
                                    std::string(subjects_.name(subject)),
-                                   value,
-                                   std::string(detail),
-                                   category,
-                                   subject});
+                                   value, std::string(detail)});
   }
 
   /// Subscribe a listener: it receives a TraceEvent (interned IDs, no name
@@ -142,101 +135,10 @@ class Trace {
     return count(categories_.find(category));
   }
 
-  [[nodiscard]] std::size_t count(std::string_view category,
-                                  std::string_view subject) const {
-    return count(categories_.find(category), subjects_.find(subject));
-  }
-
   [[nodiscard]] std::size_t count(TraceId category) const {
     return category < category_counts_.size() ? category_counts_[category]
                                               : 0;
   }
-
-  [[nodiscard]] std::size_t count(TraceId category, TraceId subject) const {
-    if (category >= subject_counts_.size()) return 0;
-    const auto& row = subject_counts_[category];
-    return subject < row.size() ? row[subject] : 0;
-  }
-
-  /// Every (subject, count) pair recorded under `category`, in subject
-  /// order. Incremental consumers (isolation::ContainmentMonitor, rv
-  /// monitors) classify from this index instead of re-scanning records.
-  /// O(subjects-in-category): each category keeps its own bucket of seen
-  /// subject IDs, so the query never walks a whole count row.
-  [[nodiscard]] std::vector<std::pair<std::string, std::size_t>>
-  subject_counts(std::string_view category) const {
-    std::vector<std::pair<std::string, std::size_t>> out;
-    const TraceId cat = categories_.find(category);
-    if (cat == kNoTraceId || cat >= category_subjects_.size()) return out;
-    out.reserve(category_subjects_[cat].size());
-    for (const TraceId subj : category_subjects_[cat]) {
-      out.emplace_back(std::string(subjects_.name(subj)),
-                       subject_counts_[cat][subj]);
-    }
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  /// ID-keyed variant of subject_counts() (unordered): every
-  /// (subject_id, count) pair recorded under the category ID, in
-  /// O(subjects-in-category).
-  [[nodiscard]] std::vector<std::pair<TraceId, std::size_t>>
-  subject_counts_by_id(TraceId category) const {
-    std::vector<std::pair<TraceId, std::size_t>> out;
-    if (category == kNoTraceId || category >= category_subjects_.size()) {
-      return out;
-    }
-    out.reserve(category_subjects_[category].size());
-    for (const TraceId subj : category_subjects_[category]) {
-      out.emplace_back(subj, subject_counts_[category][subj]);
-    }
-    return out;
-  }
-
-  /// Consistency test hook: recount the retained records by their strings
-  /// and compare against the ID-indexed counts. Only meaningful when
-  /// retention has been on since construction (otherwise counts
-  /// legitimately exceed the recount); callers can check records_complete()
-  /// first. Used by the index-drift regression tests.
-  [[nodiscard]] bool counts_match_records() const {
-    std::vector<std::size_t> cat_recount(category_counts_.size(), 0);
-    std::vector<std::vector<std::size_t>> row_recount(subject_counts_.size());
-    for (const auto& rec : records_) {
-      const TraceId cat = categories_.find(rec.category);
-      const TraceId subj = subjects_.find(rec.subject);
-      if (cat == kNoTraceId || subj == kNoTraceId) return false;
-      if (cat != rec.category_id || subj != rec.subject_id) return false;
-      if (cat >= cat_recount.size()) return false;
-      ++cat_recount[cat];
-      auto& row = row_recount[cat];
-      if (subj >= row.size()) row.resize(subj + 1, 0);
-      ++row[subj];
-    }
-    if (cat_recount != category_counts_) return false;
-    // Every count row must agree with the recount cell by cell, and each
-    // category's subject bucket must list exactly its non-zero cells, once.
-    for (TraceId cat = 0; cat < subject_counts_.size(); ++cat) {
-      const auto& row = subject_counts_[cat];
-      const auto& recount = row_recount[cat];
-      std::size_t nonzero = 0;
-      for (std::size_t subj = 0; subj < std::max(row.size(), recount.size());
-           ++subj) {
-        const std::size_t n = subj < row.size() ? row[subj] : 0;
-        if (n != (subj < recount.size() ? recount[subj] : 0)) return false;
-        nonzero += n != 0 ? 1 : 0;
-      }
-      const auto& bucket = category_subjects_[cat];
-      if (bucket.size() != nonzero) return false;
-      for (const TraceId subj : bucket) {
-        if (count(cat, subj) == 0) return false;
-      }
-    }
-    return true;
-  }
-
-  /// True while the retained records cover every emission since
-  /// construction (retention never off during an emit).
-  [[nodiscard]] bool records_complete() const { return records_complete_; }
 
  private:
   /// String -> dense ID table with stable IDs and O(1) transparent lookup
@@ -272,35 +174,12 @@ class Trace {
     std::vector<std::string_view> names_;  ///< Views into ids_ keys.
   };
 
-  // One growth check per index, then direct indexing — no hashing. A
-  // subject's first bump in a category also files it into the category's
-  // subject bucket, keeping the subject_counts() queries
-  // O(subjects-in-category).
-  void bump(TraceId category, TraceId subject) {
-    if (category >= category_counts_.size()) {
-      category_counts_.resize(category + 1, 0);
-      subject_counts_.resize(category + 1);
-      category_subjects_.resize(category + 1);
-    }
-    ++category_counts_[category];
-    auto& row = subject_counts_[category];
-    if (subject >= row.size()) row.resize(subject + 1, 0);
-    if (row[subject]++ == 0) category_subjects_[category].push_back(subject);
-  }
-
   std::vector<IdListener> id_listeners_;
   std::vector<TraceRecord> records_;
   Interner categories_;
   Interner subjects_;
   std::vector<std::size_t> category_counts_;  ///< Indexed by category ID.
-  /// Per-category count rows indexed by subject ID; a row grows to the
-  /// largest subject ID seen in its category.
-  std::vector<std::vector<std::size_t>> subject_counts_;
-  /// Subject IDs seen per category (first-bump order) — the iteration set
-  /// of subject_counts(); subject_counts_ keeps the numbers.
-  std::vector<std::vector<TraceId>> category_subjects_;
   bool retain_ = true;
-  bool records_complete_ = true;
 };
 
 }  // namespace orte::sim

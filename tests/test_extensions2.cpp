@@ -8,6 +8,7 @@
 #include "lin/lin_bus.hpp"
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"
+#include "trace_recount.hpp"
 
 namespace {
 
@@ -16,6 +17,7 @@ using sim::Kernel;
 using sim::Trace;
 using sim::microseconds;
 using sim::milliseconds;
+using orte::test::records_of;
 
 // --- Frame packing ----------------------------------------------------------------
 
@@ -211,7 +213,7 @@ TEST(Lin, CrashedSlaveYieldsNoResponseSlots) {
   f.bus.start();
   f.kernel.run_until(f.bus.cycle_time() * 10);
   EXPECT_GE(f.bus.no_responses(), 4u);
-  EXPECT_GT(f.trace.count("lin.no_response", "door"), 0u);
+  EXPECT_GT(records_of(f.trace, "lin.no_response", "door"), 0u);
 }
 
 TEST(Lin, ConfigurationErrorsRejected) {

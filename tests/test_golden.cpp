@@ -29,6 +29,7 @@
 #include "sim/kernel.hpp"
 #include "sim/rng.hpp"
 #include "sim/trace.hpp"
+#include "trace_recount.hpp"
 #include "validation/detectability.hpp"
 #include "validation/sarif.hpp"
 #include "validation/validator.hpp"
@@ -265,6 +266,9 @@ Digest run_brake_by_wire(const std::vector<fi::Fault>& faults,
       },
       sim::EventOrder::kObserver);
   sys.run_for(cfg.horizon);
+  // Index-drift guard at system scale: every category's count matches its
+  // retained records.
+  EXPECT_TRUE(test::counts_match_records(trace));
   return digest_of(trace);
 }
 

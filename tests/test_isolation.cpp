@@ -1,9 +1,8 @@
-// Unit tests: fault injectors, containment monitor — and the headline
-// timing-isolation behaviour (victim protected from aggressor).
+// Unit tests: fault injectors and the headline timing-isolation behaviour
+// (victim protected from aggressor).
 #include <gtest/gtest.h>
 
 #include "isolation/fault_injection.hpp"
-#include "isolation/monitor.hpp"
 #include "os/ecu.hpp"
 #include "sim/kernel.hpp"
 #include "sim/rng.hpp"
@@ -130,45 +129,6 @@ TEST(TimingIsolation, WithBudgetsVictimProtected) {
   EXPECT_GT(s.aggressor->jobs_killed(), 0u);  // the fault is sanctioned
   // Outside the fault window the aggressor completes normally.
   EXPECT_GT(s.aggressor->jobs_completed(), 0u);
-}
-
-TEST(ContainmentMonitor, ClassifiesTraceEvents) {
-  IsolationScenario s(/*enforce=*/true);
-  ContainmentMonitor mon(s.trace);
-  s.kernel.run_until(milliseconds(500));
-  EXPECT_EQ(s.victim->deadline_misses(), 0u);
-  EXPECT_GT(s.aggressor->jobs_killed(), 0u);
-  std::uint64_t total_misses = 0;
-  for (const auto& t : s.ecu.tasks()) total_misses += t->deadline_misses();
-  EXPECT_EQ(mon.victim_misses("supplierB"), total_misses);
-}
-
-TEST(ContainmentMonitor, CountsVictimMissesWithoutEnforcement) {
-  IsolationScenario s(/*enforce=*/false);
-  ContainmentMonitor mon(s.trace);
-  s.kernel.run_until(milliseconds(500));
-  EXPECT_GT(mon.victim_misses("supplierB"), 0u);
-  EXPECT_EQ(s.aggressor->jobs_killed(), 0u);
-}
-
-TEST(ContainmentMonitor, VictimNameContainingTheAggressorPrefixStillCounts) {
-  // The aggressor is named by its task-name prefix: a victim whose name
-  // merely contains that prefix is still a victim.
-  Kernel kernel;
-  Trace trace;
-  Ecu ecu(kernel, trace, "host");
-  ecu.add_task({.name = "B_hog", .priority = 3, .period = milliseconds(10)})
-      .set_body(milliseconds(9));
-  Task& victim = ecu.add_task({.name = "AB_ctrl",
-                               .priority = 1,
-                               .period = milliseconds(5),
-                               .relative_deadline = milliseconds(5)});
-  victim.set_body(milliseconds(2));
-  ecu.start();
-  ContainmentMonitor mon(trace);
-  kernel.run_until(milliseconds(100));
-  EXPECT_GT(victim.deadline_misses(), 0u);
-  EXPECT_EQ(mon.victim_misses("B_"), victim.deadline_misses());
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "os/ecu.hpp"
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"
+#include "trace_recount.hpp"
 
 namespace {
 
@@ -16,6 +17,7 @@ using orte::sim::Kernel;
 using orte::sim::Trace;
 using orte::sim::microseconds;
 using orte::sim::milliseconds;
+using orte::test::records_of;
 
 struct Fixture {
   Kernel kernel;
@@ -308,8 +310,8 @@ TEST(Ecu, TraceEmitsLifecycleEvents) {
   t.set_body(milliseconds(1));
   f.ecu.start();
   f.kernel.run_until(milliseconds(35));
-  EXPECT_EQ(f.trace.count("task.activate", "t"), 4u);   // 0, 10, 20, 30 ms
-  EXPECT_EQ(f.trace.count("task.complete", "t"), 4u);   // 1, 11, 21, 31 ms
+  EXPECT_EQ(records_of(f.trace, "task.activate", "t"), 4u);  // 0, 10, 20, 30 ms
+  EXPECT_EQ(records_of(f.trace, "task.complete", "t"), 4u);  // 1, 11, 21, 31 ms
 }
 
 }  // namespace

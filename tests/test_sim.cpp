@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,10 +11,13 @@
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
+#include "trace_recount.hpp"
 
 namespace {
 
 using namespace orte::sim;
+using orte::test::counts_match_records;
+using orte::test::records_of;
 
 TEST(Kernel, RunsEventsInTimeOrder) {
   Kernel k;
@@ -328,7 +330,7 @@ TEST(Trace, RetainsAndCounts) {
   t.emit(30, "cat.b", "x", 7, "detail");
   EXPECT_EQ(t.count("cat.a"), 2u);
   EXPECT_EQ(t.count("cat.b"), 1u);
-  EXPECT_EQ(t.count("cat.a", "x"), 1u);
+  EXPECT_EQ(records_of(t, "cat.a", "x"), 1u);
   EXPECT_EQ(t.records().back().value, 7);
   EXPECT_EQ(t.records().back().detail, "detail");
 }
@@ -360,8 +362,6 @@ TEST(Trace, CountsWorkWithRetentionDisabled) {
   t.emit(3, "cat", "b");
   EXPECT_TRUE(t.records().empty());
   EXPECT_EQ(t.count("cat"), 3u);
-  EXPECT_EQ(t.count("cat", "a"), 2u);
-  EXPECT_EQ(t.count("cat", "b"), 1u);
 }
 
 TEST(Trace, ListenersRunInSubscriptionOrder) {
@@ -387,33 +387,17 @@ TEST(Trace, RetentionToggleMidRunKeepsCounting) {
   EXPECT_EQ(t.records().size(), 2u);
   EXPECT_EQ(t.records().front().when, 1);
   EXPECT_EQ(t.records().back().when, 4);
-  EXPECT_EQ(t.count("cat", "s"), 4u);
+  EXPECT_EQ(t.count("cat"), 4u);
 }
 
 TEST(Trace, UnobservedEmitsStillCount) {
   // No listeners, retention off: emit() takes the fast path that skips
-  // building the record, but the count indexes must still advance.
+  // building the record, but the category count must still advance.
   Trace t;
   t.enable_retention(false);
   for (int i = 0; i < 100; ++i) t.emit(i, "fast", "path");
   EXPECT_EQ(t.count("fast"), 100u);
-  EXPECT_EQ(t.count("fast", "path"), 100u);
   EXPECT_TRUE(t.records().empty());
-}
-
-TEST(Trace, SubjectCountsEnumeratesOneCategory) {
-  Trace t;
-  t.emit(1, "cat.a", "y");
-  t.emit(2, "cat.a", "x");
-  t.emit(3, "cat.a", "y");
-  t.emit(4, "cat.b", "z");
-  const auto counts = t.subject_counts("cat.a");
-  ASSERT_EQ(counts.size(), 2u);  // cat.b's subject excluded
-  EXPECT_EQ(counts[0].first, "x");
-  EXPECT_EQ(counts[0].second, 1u);
-  EXPECT_EQ(counts[1].first, "y");
-  EXPECT_EQ(counts[1].second, 2u);
-  EXPECT_TRUE(t.subject_counts("cat.none").empty());
 }
 
 TEST(Trace, CountsSurviveMove) {
@@ -422,7 +406,6 @@ TEST(Trace, CountsSurviveMove) {
   t.emit(2, "cat", "s");
   Trace moved = std::move(t);
   EXPECT_EQ(moved.count("cat"), 2u);
-  EXPECT_EQ(moved.count("cat", "s"), 2u);
   EXPECT_EQ(moved.records().size(), 2u);
   moved.emit(3, "cat", "s");
   EXPECT_EQ(moved.count("cat"), 3u);
@@ -430,25 +413,28 @@ TEST(Trace, CountsSurviveMove) {
 
 // --- Interning ----------------------------------------------------------------
 
+// Records keep the names; listeners get the interned IDs.
 TEST(Trace, RecordsCarryInternedIds) {
   Trace t;
+  std::vector<TraceEvent> seen;
+  t.subscribe_ids([&](const TraceEvent& e) { seen.push_back(e); });
   t.emit(1, "cat.a", "x");
   t.emit(2, "cat.b", "y");
-  ASSERT_EQ(t.records().size(), 2u);
-  const TraceRecord& a = t.records()[0];
-  const TraceRecord& b = t.records()[1];
+  ASSERT_EQ(seen.size(), 2u);
+  const TraceEvent& a = seen[0];
+  const TraceEvent& b = seen[1];
   EXPECT_EQ(a.category_id, t.category_id("cat.a"));
   EXPECT_EQ(a.subject_id, t.subject_id("x"));
   EXPECT_EQ(b.category_id, t.category_id("cat.b"));
   EXPECT_EQ(b.subject_id, t.subject_id("y"));
   EXPECT_NE(a.category_id, b.category_id);
   EXPECT_NE(a.subject_id, b.subject_id);
-  // Reverse lookup round-trips.
-  EXPECT_EQ(t.category_name(a.category_id), "cat.a");
-  EXPECT_EQ(t.subject_name(b.subject_id), "y");
+  // Reverse lookup round-trips to the retained record's names.
+  EXPECT_EQ(t.category_name(a.category_id), t.records()[0].category);
+  EXPECT_EQ(t.subject_name(b.subject_id), t.records()[1].subject);
   // ID-keyed counting agrees with string-keyed counting.
   EXPECT_EQ(t.count(a.category_id), 1u);
-  EXPECT_EQ(t.count(a.category_id, a.subject_id), 1u);
+  EXPECT_EQ(t.count("cat.a"), 1u);
 }
 
 TEST(Trace, UnseenNamesHaveNoId) {
@@ -457,7 +443,6 @@ TEST(Trace, UnseenNamesHaveNoId) {
   EXPECT_EQ(t.category_id("other"), kNoTraceId);
   EXPECT_EQ(t.subject_id("other"), kNoTraceId);
   EXPECT_EQ(t.count(kNoTraceId), 0u);
-  EXPECT_EQ(t.count(kNoTraceId, kNoTraceId), 0u);
   EXPECT_TRUE(t.category_name(kNoTraceId).empty());
 }
 
@@ -465,43 +450,27 @@ TEST(Trace, PreInterningAssignsTheSameIdEmitWillUse) {
   Trace t;
   const TraceId cat = t.intern_category("rte.write");
   const TraceId subj = t.intern_subject("pedal.out.v");
+  TraceEvent seen{};
+  t.subscribe_ids([&](const TraceEvent& e) { seen = e; });
   t.emit(5, "rte.write", "pedal.out.v");
-  ASSERT_EQ(t.records().size(), 1u);
-  EXPECT_EQ(t.records()[0].category_id, cat);
-  EXPECT_EQ(t.records()[0].subject_id, subj);
-  EXPECT_EQ(t.count(cat, subj), 1u);
+  EXPECT_EQ(seen.category_id, cat);
+  EXPECT_EQ(seen.subject_id, subj);
+  EXPECT_EQ(t.count(cat), 1u);
 }
 
-TEST(Trace, SubjectCountsByIdMatchesStringIndex) {
-  Trace t;
-  t.emit(1, "cat", "b");
-  t.emit(2, "cat", "a");
-  t.emit(3, "cat", "b");
-  const auto by_id = t.subject_counts_by_id(t.category_id("cat"));
-  ASSERT_EQ(by_id.size(), 2u);
-  std::size_t total = 0;
-  for (const auto& [subject_id, count] : by_id) {
-    EXPECT_EQ(count, t.count("cat", t.subject_name(subject_id)));
-    total += count;
-  }
-  EXPECT_EQ(total, 3u);
-  EXPECT_TRUE(t.subject_counts_by_id(kNoTraceId).empty());
-}
-
-// Guard against silent index drift: the ID-indexed counts must match a
-// string-keyed recount of the retained records whenever retention covers
-// the whole window.
+// Guard against silent index drift: the per-category counts must match a
+// recount of the retained records whenever retention covers every emit.
 TEST(Trace, CountsMatchRecordsWhileRetentionIsComplete) {
   Trace t;
+  t.intern_category("cat.unused");  // interned, never emitted: count 0
   t.emit(1, "cat.a", "x");
   t.emit(2, "cat.a", "y");
   t.emit(3, "cat.b", "x", 7, "detail");
-  EXPECT_TRUE(t.records_complete());
-  EXPECT_TRUE(t.counts_match_records());
+  EXPECT_TRUE(counts_match_records(t));
   // An unretained emit legitimately decouples counts from records.
   t.enable_retention(false);
   t.emit(4, "cat.a", "x");
-  EXPECT_FALSE(t.records_complete());
+  EXPECT_FALSE(counts_match_records(t));
 }
 
 // --- Golden event order across storage layers --------------------------------
@@ -694,16 +663,23 @@ TEST(Trace, IdListenersGetInternedIdsValueAndDetail) {
 
 TEST(Trace, IdEmitMatchesStringEmit) {
   // Emitting under pre-interned IDs must be indistinguishable from the
-  // string overload: same record strings and IDs, same counts.
+  // string overload: same record strings, same listener IDs, same counts.
   Trace by_id;
   Trace by_name;
   const TraceId cat = by_id.intern_category("cat");
   const TraceId subj = by_id.intern_subject("s");
+  std::vector<TraceEvent> id_events;
+  std::vector<TraceEvent> name_events;
+  by_id.subscribe_ids([&](const TraceEvent& e) { id_events.push_back(e); });
+  by_name.subscribe_ids(
+      [&](const TraceEvent& e) { name_events.push_back(e); });
   by_id.emit(3, cat, subj, 9, "d");
   by_id.emit(4, cat, subj);
   by_name.emit(3, "cat", "s", 9, "d");
   by_name.emit(4, "cat", "s");
   ASSERT_EQ(by_id.records().size(), 2u);
+  ASSERT_EQ(id_events.size(), 2u);
+  ASSERT_EQ(name_events.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     const auto& a = by_id.records()[i];
     const auto& b = by_name.records()[i];
@@ -712,12 +688,15 @@ TEST(Trace, IdEmitMatchesStringEmit) {
     EXPECT_EQ(a.subject, b.subject);
     EXPECT_EQ(a.value, b.value);
     EXPECT_EQ(a.detail, b.detail);
-    EXPECT_EQ(a.category_id, cat);
-    EXPECT_EQ(a.subject_id, subj);
+    EXPECT_EQ(id_events[i].category_id, cat);
+    EXPECT_EQ(id_events[i].subject_id, subj);
+    EXPECT_EQ(name_events[i].category_id, by_name.category_id("cat"));
+    EXPECT_EQ(name_events[i].subject_id, by_name.subject_id("s"));
   }
-  EXPECT_EQ(by_id.count("cat", "s"), 2u);
-  EXPECT_EQ(by_id.count(cat, subj), 2u);
-  EXPECT_TRUE(by_id.counts_match_records());
+  EXPECT_EQ(by_id.count("cat"), 2u);
+  EXPECT_EQ(by_id.count(cat), 2u);
+  EXPECT_EQ(records_of(by_id, "cat", "s"), 2u);
+  EXPECT_TRUE(counts_match_records(by_id));
 }
 
 TEST(Trace, IdListenersWorkWithoutRetentionOrStringListeners) {
@@ -731,31 +710,6 @@ TEST(Trace, IdListenersWorkWithoutRetentionOrStringListeners) {
   EXPECT_EQ(n, 5u);
   EXPECT_TRUE(t.records().empty());
   EXPECT_EQ(t.count("cat"), 5u);
-}
-
-// Regression for the bucketed per-category subject index: it must agree with
-// a full scan of the retained records (the implementation it replaced).
-TEST(Trace, SubjectCountsMatchFullRecordScan) {
-  Trace t;
-  const char* cats[] = {"cat.a", "cat.b", "cat.c"};
-  const char* subs[] = {"u", "v", "w", "x"};
-  for (int i = 0; i < 200; ++i) {
-    t.emit(i, cats[(i * 7) % 3], subs[(i * 13) % 4]);
-  }
-  for (const char* cat : cats) {
-    std::map<std::string, std::size_t> scan;
-    for (const auto& r : t.records()) {
-      if (t.category_name(r.category_id) == cat) {
-        ++scan[std::string(t.subject_name(r.subject_id))];
-      }
-    }
-    const auto fast = t.subject_counts(cat);
-    ASSERT_EQ(fast.size(), scan.size());
-    for (const auto& [subject, count] : fast) {
-      EXPECT_EQ(count, scan[subject]) << cat << "/" << subject;
-    }
-  }
-  EXPECT_TRUE(t.counts_match_records());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"
+#include "trace_recount.hpp"
 #include "ttp/ttp_bus.hpp"
 
 namespace {
@@ -17,6 +18,7 @@ using orte::sim::Time;
 using orte::sim::Trace;
 using orte::sim::microseconds;
 using orte::sim::milliseconds;
+using orte::test::records_of;
 
 struct Fixture {
   Kernel kernel;
@@ -113,7 +115,7 @@ TEST(Ttp, ReintegrationAfterBabbleEnds) {
   f.kernel.run_until(milliseconds(3));
   // After the babble window, a transmits cleanly again and is readmitted.
   EXPECT_EQ(bus.membership()[0], true);
-  EXPECT_GT(f.trace.count("ttp.membership_gain", "a"), 0u);
+  EXPECT_GT(records_of(f.trace, "ttp.membership_gain", "a"), 0u);
 }
 
 TEST(Ttp, StartWithoutNodesThrows) {

@@ -9,6 +9,7 @@
 #include "fi/workloads.hpp"
 #include "sim/kernel.hpp"
 #include "sim/trace.hpp"
+#include "trace_recount.hpp"
 #include "validation/validator.hpp"
 #include "vfb/lowering.hpp"
 #include "vfb/model.hpp"
@@ -23,6 +24,7 @@ using orte::sim::Time;
 using orte::sim::Trace;
 using orte::sim::microseconds;
 using orte::sim::milliseconds;
+using orte::test::records_of;
 
 PortInterface value_interface(std::string name, bool queued = false) {
   PortInterface i;
@@ -456,7 +458,7 @@ TEST(System, QueuedElementRejectPolicyKeepsOldest) {
   kept.push_back(32);
   EXPECT_EQ(consumed, kept);
   EXPECT_EQ(sys.rte("ecu0").overflows(), 20u);
-  EXPECT_EQ(trace.count("rte.queue_overflow", "k.in.val"), 20u);
+  EXPECT_EQ(records_of(trace, "rte.queue_overflow", "k.in.val"), 20u);
 }
 
 TEST(System, ClientServerCallInlinedAndRouted) {
