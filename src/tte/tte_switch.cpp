@@ -143,15 +143,12 @@ void TteSwitch::serve_egress(std::size_t port_index) {
   const Duration egress_tx = tx_time(frame.payload.size());
   kernel_.schedule_in(
       egress_tx,
-      [this, port_index, frame = std::move(frame)]() mutable {
-        auto& port = egress_[port_index];
-        port.busy = false;
-        frame.delivered_at = kernel_.now();
+      [this, port_index, frame = std::move(frame)] {
+        egress_[port_index].busy = false;
         latency_us_[frame.flow].add(
-            sim::to_us(frame.delivered_at - frame.enqueued_at));
+            sim::to_us(kernel_.now() - frame.enqueued_at));
         ++delivered_;
         trace_.emit(kernel_.now(), "tte.rx", std::to_string(frame.flow));
-        endpoints_[port_index]->deliver(frame);
         serve_egress(port_index);
       },
       sim::EventOrder::kHardware);

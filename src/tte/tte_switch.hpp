@@ -10,6 +10,8 @@
 //  * BE  (best effort)      — whatever bandwidth is left.
 // Store-and-forward: ingress serialization + switch latency + egress
 // serialization (with class-priority queueing at the egress port).
+// A delivery is observed through flow_latency_us(), frames_delivered() and
+// its "tte.rx" trace record (subject: the flow ID); endpoints only send.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +49,6 @@ struct TteFrame {
   std::uint32_t flow = 0;
   net::Payload payload;  ///< Shared buffer: egress queues copy it for free.
   Time enqueued_at = 0;
-  Time delivered_at = 0;
 };
 
 struct TteConfig {
@@ -59,15 +60,12 @@ class TteSwitch;
 
 class TteEndpoint {
  public:
-  using RxCallback = std::function<void(const TteFrame&)>;
-
   /// Submit application data on a flow owned by this endpoint.
   /// TT flows: overwrites the flow buffer (state semantics; the schedule
   /// transmits the latest value). BE: queues for immediate transmission,
   /// subject to egress arbitration.
   void send(std::uint32_t flow, std::vector<std::uint8_t> payload);
 
-  void on_receive(RxCallback cb) { rx_.push_back(std::move(cb)); }
   [[nodiscard]] int index() const { return index_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
@@ -75,14 +73,10 @@ class TteEndpoint {
   friend class TteSwitch;
   TteEndpoint(TteSwitch& sw, int index, std::string name)
       : switch_(&sw), index_(index), name_(std::move(name)) {}
-  void deliver(const TteFrame& f) {
-    for (const auto& cb : rx_) cb(f);
-  }
 
   TteSwitch* switch_;
   int index_;
   std::string name_;
-  std::vector<RxCallback> rx_;
 };
 
 class TteSwitch {
