@@ -157,8 +157,7 @@ int main() {
   modes.add_mode("DEGRADED");
   modes.add_transition("RUN", "DEGRADED");
   modes.add_transition("DEGRADED", "RUN");
-  sys.monitors()->report_to(dem, /*debounce_threshold=*/3,
-                            /*aging_cycles=*/3);
+  sys.monitors()->report_to(dem, /*debounce_threshold=*/3);
   sys.monitors()->escalate_to(modes, "DEGRADED", /*threshold=*/3);
 
   // One operation cycle = 100 ms of driving, then the rv heartbeat: flush

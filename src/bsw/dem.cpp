@@ -71,10 +71,7 @@ void Dem::operation_cycle_end() {
     Dtc& dtc = it->second;
     if (!dtc.confirmed) {
       ++dtc.aged;
-      const auto eit = events_.find(dtc.event);
-      const std::uint32_t limit =
-          eit != events_.end() ? eit->second.cfg.aging_cycles : 3;
-      if (dtc.aged >= limit) {
+      if (dtc.aged >= kDtcAgingCycles) {
         trace_.emit(kernel_.now(), "dem.dtc_aged_out", dtc.event);
         aged_out.push_back(dtc);
         it = dtcs_.erase(it);

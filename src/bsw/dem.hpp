@@ -4,7 +4,7 @@
 //
 // Events debounce with a counter (+1 failed, -1 passed, latch at threshold);
 // a latched event stores/updates a DTC with occurrence bookkeeping and ages
-// out after a configurable number of fault-free operation cycles.
+// out after kDtcAgingCycles fault-free operation cycles.
 #pragma once
 
 #include <cstdint>
@@ -22,10 +22,12 @@ namespace orte::bsw {
 
 enum class EventStatus { kPassed, kFailed };
 
+/// Fault-free operation cycles after which a healed DTC is erased.
+inline constexpr std::uint32_t kDtcAgingCycles = 3;
+
 struct DemEventConfig {
   std::string name;
   std::int32_t debounce_threshold = 1;  ///< Failures needed to latch.
-  std::uint32_t aging_cycles = 3;       ///< Fault-free cycles to clear DTC.
   std::uint32_t dtc_code = 0;           ///< 3-byte DTC number (UDS reports).
 };
 

@@ -97,11 +97,9 @@ std::vector<const LatencyMonitor*> MonitorRegistry::latency_monitors() const {
 }
 
 void MonitorRegistry::report_to(bsw::Dem& dem,
-                                std::int32_t debounce_threshold,
-                                std::uint32_t aging_cycles) {
+                                std::int32_t debounce_threshold) {
   dem_ = &dem;
   dem_threshold_ = debounce_threshold;
-  dem_aging_ = aging_cycles;
   if (!dem_subscribed_) {
     dem_subscribed_ = true;
     dem.on_aged_out([this](const bsw::Dtc& dtc) { handle_aged_out(dtc); });
@@ -152,8 +150,7 @@ void MonitorRegistry::report_budget_to_dem(const std::string& contract,
   const std::string event = std::string(kDemPrefix) + contract;
   if (dem_events_.insert(event).second) {
     try {
-      dem_->add_event(
-          {event, dem_threshold_, dem_aging_, contract_dtc_code(contract)});
+      dem_->add_event({event, dem_threshold_, contract_dtc_code(contract)});
     } catch (const std::invalid_argument&) {
       // Already registered by the user (e.g. with a custom DTC code).
     }

@@ -77,8 +77,7 @@ class MonitorRegistry {
   /// out, the matching quarantine is released, the contract's monitors are
   /// resynced, and (once no contract DTC remains) the recovery mode is
   /// requested and escalation re-armed.
-  void report_to(bsw::Dem& dem, std::int32_t debounce_threshold = 1,
-                 std::uint32_t aging_cycles = 3);
+  void report_to(bsw::Dem& dem, std::int32_t debounce_threshold = 1);
   /// Request `degraded_mode` once a single contract is over its violation
   /// budget with at least `threshold` window violations (re-armed by
   /// recovery). A threshold of 0 is coerced to 1.
@@ -163,7 +162,6 @@ class MonitorRegistry {
 
   bsw::Dem* dem_ = nullptr;
   std::int32_t dem_threshold_ = 1;
-  std::uint32_t dem_aging_ = 3;
   bool dem_subscribed_ = false;
   std::set<std::string, std::less<>> dem_events_;  ///< Auto-registered.
   bsw::ModeMachine* modes_ = nullptr;
