@@ -13,10 +13,13 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "fi/campaign.hpp"
 #include "fi/workloads.hpp"
+#include "sim/stats.hpp"
 
 using namespace orte;
 
@@ -51,6 +54,22 @@ int main() {
   // stdout is the deterministic table (the bench.e9_fi_coverage golden);
   // the host timing and the thread count it depends on go to stderr.
   std::printf("%s\n", report.render().c_str());
+  // What each fault kind costs to simulate: kernel events per scenario,
+  // independent of the thread count.
+  std::vector<std::pair<std::string, sim::Stats>> cost;
+  for (const fi::ScenarioResult& r : report.scenarios) {
+    const std::string kind =
+        r.baseline ? "fault-free" : std::string(fi::to_string(r.fault.kind));
+    auto it = std::find_if(cost.begin(), cost.end(),
+                           [&kind](const auto& c) { return c.first == kind; });
+    if (it == cost.end()) it = cost.insert(cost.end(), {kind, sim::Stats{}});
+    it->second.add(static_cast<double>(r.events_executed));
+  }
+  std::printf("kernel events per scenario (mean):\n");
+  for (const auto& [kind, events] : cost) {
+    std::printf("  %-18s %9.1f\n", kind.c_str(), events.mean());
+  }
+  std::printf("\n");
   std::fprintf(stderr, "wall clock: %.0f ms (%.2f ms/scenario, %zu threads)\n",
                elapsed, elapsed / static_cast<double>(report.scenarios.size()),
                cfg.threads);

@@ -236,6 +236,7 @@ ScenarioResult Campaign::run_scenario(std::size_t index) const {
       sim::EventOrder::kObserver);
 
   sys.run_for(cfg_.horizon);
+  result.events_executed = kernel.events_executed();
 
   result.violations = evidence.detections.size();
   for (const auto& d : evidence.detections) {

@@ -132,6 +132,8 @@ struct ScenarioResult {
   sim::Time first_dtc = -1;
   sim::Time first_degrade = -1;
   std::size_t violations = 0;
+  /// Kernel events the scenario executed (its simulation cost).
+  std::uint64_t events_executed = 0;
 };
 
 struct ClassStats {
