@@ -41,11 +41,15 @@ std::uint64_t unpack_signal(const std::vector<std::uint8_t>& payload,
 }
 
 Com::Com(sim::Kernel& kernel, sim::Trace& trace)
-    : kernel_(kernel), trace_(trace) {}
+    : kernel_(kernel),
+      trace_(trace),
+      tx_category_(trace.intern_category("com.tx")),
+      rx_category_(trace.intern_category("com.rx")) {}
 
 void Com::add_tx_ipdu(IPduConfig cfg, net::Controller& controller) {
   TxPdu pdu;
   pdu.controller = &controller;
+  pdu.subject = trace_.intern_subject(cfg.name);
   pdu.payload.assign(cfg.length_bytes, 0);
   const std::string name = cfg.name;
   pdu.cfg = std::move(cfg);
@@ -56,6 +60,7 @@ void Com::add_tx_ipdu(IPduConfig cfg, net::Controller& controller) {
 
 void Com::add_rx_ipdu(IPduConfig cfg, net::Controller& controller) {
   RxPdu pdu;
+  pdu.subject = trace_.intern_subject(cfg.name);
   pdu.payload.assign(cfg.length_bytes, 0);
   const std::string name = cfg.name;
   const std::uint32_t frame_id = cfg.frame_id;
@@ -121,7 +126,7 @@ void Com::transmit(TxPdu& pdu) {
   frame.payload = pdu.payload;
   frame.enqueued_at = kernel_.now();
   ++pdus_sent_;
-  trace_.emit(kernel_.now(), "com.tx", pdu.cfg.name, frame.id);
+  trace_.emit(kernel_.now(), tx_category_, pdu.subject, frame.id);
   pdu.controller->send(std::move(frame));
 }
 
@@ -134,7 +139,7 @@ void Com::handle_rx(const net::Frame& frame) {
   pdu.payload.assign(frame.payload.begin(), frame.payload.end());
   pdu.payload.resize(pdu.cfg.length_bytes, 0);
   ++pdus_received_;
-  trace_.emit(kernel_.now(), "com.rx", pdu.cfg.name, frame.id);
+  trace_.emit(kernel_.now(), rx_category_, pdu.subject, frame.id);
   // Update and notify every signal mapped onto this PDU.
   for (const Signal* sig : pdu.signals) {
     const std::uint64_t value =

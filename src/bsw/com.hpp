@@ -67,11 +67,13 @@ class Com {
   struct Signal;
   struct TxPdu {
     IPduConfig cfg;
+    sim::TraceId subject = sim::kNoTraceId;  ///< The PDU name, interned.
     net::Controller* controller = nullptr;
     std::vector<std::uint8_t> payload;
   };
   struct RxPdu {
     IPduConfig cfg;
+    sim::TraceId subject = sim::kNoTraceId;  ///< The PDU name, interned.
     std::vector<std::uint8_t> payload;
     std::vector<Signal*> signals;  ///< Notified in ascending name order.
   };
@@ -86,6 +88,8 @@ class Com {
 
   sim::Kernel& kernel_;
   sim::Trace& trace_;
+  sim::TraceId tx_category_;  ///< "com.tx"
+  sim::TraceId rx_category_;  ///< "com.rx"
   // Map nodes never move, so signals and the frame-id index hold pointers.
   std::map<std::string, TxPdu, std::less<>> tx_;
   std::map<std::string, RxPdu, std::less<>> rx_;

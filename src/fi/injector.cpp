@@ -79,14 +79,16 @@ void install_faults(sim::Kernel& kernel, vfb::System& sys,
         const Fault fault = f;
         const sim::Duration period =
             fault.delay > 0 ? fault.delay : sim::microseconds(100);
+        // Every babble frame shares one 8-byte payload buffer.
+        net::Frame babble;
+        babble.id = id;
+        babble.name = "fi.babble";
+        babble.payload.assign(8, 0xAA);
         kernel.schedule_periodic(
             fault.from, period,
-            [&kernel, rogue, fault, id] {
+            [&kernel, rogue, fault, babble] {
               if (!in_window(fault, kernel.now())) return;
-              net::Frame frame;
-              frame.id = id;
-              frame.name = "fi.babble";
-              frame.payload.assign(8, 0xAA);
+              net::Frame frame = babble;
               frame.enqueued_at = kernel.now();
               rogue->send(std::move(frame));
             },
